@@ -26,11 +26,8 @@ import time
 import urllib.error
 import urllib.request
 
-import pytest
-
 from bench_perf_serve import CLIENTS, _multi_client
 from bench_perf_substrates import _update_bench_json
-from repro.core.features import link_parity_enabled
 from repro.io import (
     AnalysisEnvironment,
     save_dataset,
@@ -92,10 +89,6 @@ def _parity_paths(sample):
 
 
 def test_perf_fleet(paper_synthetic, results_dir, record_result, tmp_path):
-    if link_parity_enabled():
-        pytest.skip("REPRO_LINK_PARITY=1 doubles every stage's work; "
-                    "fleet timings would be meaningless")
-
     corpus = tmp_path / "corpus.rpz"
     environment = tmp_path / "env.rpe"
     cache_dir = tmp_path / "cache"

@@ -15,10 +15,7 @@ day costs the same either way and is not what the append path optimizes.
 import gc
 import time
 
-import pytest
-
 from bench_perf_substrates import _update_bench_json
-from repro.core.features import link_parity_enabled
 from repro.datasets.synthetic import _world_campaigns
 from repro.internet.population import WorldConfig
 from repro.io.store import StreamingDatasetWriter, append_shards, load_dataset
@@ -26,9 +23,6 @@ from repro.scanner.engine import ScanEngine
 
 
 def test_perf_ingest(results_dir, record_result, tmp_path):
-    if link_parity_enabled():
-        pytest.skip("REPRO_LINK_PARITY=1 doubles every stage's work; "
-                    "ingestion timings would be meaningless")
     world, campaigns = _world_campaigns(
         WorldConfig(seed=2016, n_devices=2500, n_websites=850), scan_stride=1
     )

@@ -25,10 +25,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from bench_perf_substrates import _update_bench_json
-from repro.core.features import link_parity_enabled
 from repro.io import AnalysisEnvironment, save_dataset, save_environment
 from repro.serve import QueryEngine, QueryServer, run_loadgen
 from repro.serve.loadgen import build_workload
@@ -90,10 +87,6 @@ def _multi_client(url, paths, concurrency, clients=CLIENTS):
 
 
 def test_perf_serve(paper_synthetic, results_dir, record_result, tmp_path):
-    if link_parity_enabled():
-        pytest.skip("REPRO_LINK_PARITY=1 doubles every stage's work; "
-                    "serving timings would be meaningless")
-
     corpus = tmp_path / "corpus.rpz"
     environment = tmp_path / "env.rpe"
     cache_dir = tmp_path / "cache"

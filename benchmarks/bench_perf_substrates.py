@@ -21,13 +21,11 @@ import tracemalloc
 
 import pytest
 
-from repro.core.consistency import _naive_evaluate_link_result
-from repro.core.dedup import _naive_classify, classify_unique_certificates
-from repro.core.features import Feature, link_parity_enabled
-from repro.core.linking import _naive_link_on_feature, link_on_feature
+from repro.core.dedup import classify_unique_certificates
+from repro.core.features import Feature
+from repro.core.linking import link_on_feature
 from repro.core.pipeline import (
     TABLE6_FEATURES,
-    _naive_lifetime_improvement,
     evaluate_all_features,
     iterative_link,
     lifetime_improvement,
@@ -46,6 +44,14 @@ from repro.study import Study
 from repro.x509.certificate import Certificate
 from repro.x509.chain import ChainVerifier
 from repro.x509.keys import generate_keypair
+from tests.oracles.kernels import (
+    naive_classify,
+    naive_evaluate_link_result,
+    naive_iterative_link,
+    naive_lifetime_improvement,
+    naive_link_on_feature,
+)
+from tests.oracles.rows import RowEngine
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +226,7 @@ def test_perf_linking_kernels(paper_study, results_dir, record_result, tmp_path)
     same process state (a ``gc.collect()`` before each timed block keeps
     collector pauses from landing in either side's account): the kernel
     path through the public stage entry points, the pre-kernel row path
-    through the ``_naive_*`` reference twins, over the same population and
+    through the ``tests.oracles`` reference twins, over the same population and
     iteration order the cached Study stages consumed (bitwise float
     identity requires identical accumulation order).  As in
     ``test_perf_obs_overhead``, every component on *both* sides is the
@@ -231,9 +237,6 @@ def test_perf_linking_kernels(paper_study, results_dir, record_result, tmp_path)
     ``BENCH_perf.json``.  Acceptance: ≥2.5× combined on dedup + feature
     evaluations + pipeline, and ≥4× cold-naive vs warm-cached.
     """
-    if link_parity_enabled():
-        pytest.skip("REPRO_LINK_PARITY=1 runs both paths inside the kernel "
-                    "entry points; timings would be meaningless")
     dataset = paper_study.dataset
     paper_study.tracked_devices()  # warm every cached stage + the kernels
     invalid = list(paper_study.invalid)
@@ -262,7 +265,7 @@ def test_perf_linking_kernels(paper_study, results_dir, record_result, tmp_path)
         lambda: classify_unique_certificates(dataset, invalid)
     )
     naive_dedup, naive_dedup_cost = best(
-        lambda: _naive_classify(dataset, invalid, 2)
+        lambda: naive_classify(dataset, invalid, 2)
     )
     assert kernel_dedup == paper_study.dedup()
     assert naive_dedup == kernel_dedup
@@ -275,9 +278,9 @@ def test_perf_linking_kernels(paper_study, results_dir, record_result, tmp_path)
     def naive_evaluate_all():
         reports = {}
         for feature in TABLE6_FEATURES:
-            result = _naive_link_on_feature(dataset, unique_invalid, feature)
+            result = naive_link_on_feature(dataset, unique_invalid, feature)
             reports[feature] = (
-                result, _naive_evaluate_link_result(dataset, result, as_of)
+                result, naive_evaluate_link_result(dataset, result, as_of)
             )
         # The "uniquely linked" row of Table 6, as the row path computed it.
         membership = {}
@@ -310,16 +313,11 @@ def test_perf_linking_kernels(paper_study, results_dir, record_result, tmp_path)
         )
     )
 
-    def naive_iterative():
-        remaining = set(unique_invalid)
-        groups = []
-        for feature in pipeline.field_order:
-            result = _naive_link_on_feature(dataset, remaining, feature)
-            groups.extend(result.groups)
-            remaining -= result.linked_fingerprints
-        return groups
-
-    naive_groups, naive_pipeline_cost = best(naive_iterative)
+    naive_groups, naive_pipeline_cost = best(
+        lambda: naive_iterative_link(
+            dataset, unique_invalid, pipeline.field_order
+        )
+    )
     assert kernel_pipeline.field_order == pipeline.field_order
     assert [g.fingerprints for g in kernel_pipeline.groups] == \
         [g.fingerprints for g in pipeline.groups]
@@ -331,7 +329,7 @@ def test_perf_linking_kernels(paper_study, results_dir, record_result, tmp_path)
         lambda: lifetime_improvement(dataset, pipeline, unique_invalid)
     )
     naive_improvement, naive_lifetime_cost = best(
-        lambda: _naive_lifetime_improvement(dataset, pipeline, unique_invalid)
+        lambda: naive_lifetime_improvement(dataset, pipeline, unique_invalid)
     )
     assert improvement == naive_improvement
 
@@ -523,9 +521,6 @@ def test_perf_end_to_end_cache(
     ``validation`` stages.  Writes the top-level ``end_to_end_seconds``
     section of ``BENCH_perf.json``.
     """
-    if link_parity_enabled():
-        pytest.skip("REPRO_LINK_PARITY=1 doubles every stage's work; "
-                    "end-to-end timings would be meaningless")
     world = paper_synthetic.world
     # Columnarized once, outside the timings: both runs rehydrate the
     # same backend, so corpus loading cancels out of the comparison.
@@ -605,14 +600,16 @@ def _mapped_worker_probe(dataset):
 def test_perf_mmap(paper_synthetic, results_dir, record_result, tmp_path):
     """The format 3 substrate: O(1) opens and shared-page fan-out.
 
-    Two measurements over the paper-scale corpus, saved once as a legacy
-    v2 zip archive and once as a native format 3 container:
+    Two measurements over the paper-scale corpus, saved as a format 3
+    container:
 
     * **open-to-first-query** — ``load_dataset`` + a distinct-IP count
-      over the full ip column, cold each round.  The v2 path parses
-      every certificate and rehydrates every row before the first answer;
-      the mapped path validates a trailer and pages in one int column.
-      Acceptance: mapped ≥10× faster (minimum over alternating rounds).
+      over the full ip column, cold each round.  The materializing
+      baseline (``load_dataset(container).materialize()``) copies every
+      column out of the map and parses every certificate before the
+      first answer; the mapped path validates a trailer and pages in one
+      int column.  Acceptance: mapped ≥10× faster (minimum over
+      alternating rounds).
     * **per-worker USS** — four pool workers each receive the mapped
       dataset (pickled as its container path), re-map it, and run the
       column query; each reports Private_Clean + Private_Dirty from
@@ -624,34 +621,31 @@ def test_perf_mmap(paper_synthetic, results_dir, record_result, tmp_path):
 
     Both gates run *before* any result file is written.
     """
-    if link_parity_enabled():
-        pytest.skip("REPRO_LINK_PARITY=1 re-verifies every kernel build; "
-                    "open timings would be meaningless")
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.io.store import load_dataset, save_dataset_v2
+    from repro.io.store import load_dataset
 
-    v2_path = tmp_path / "corpus.v2.rpz"
     v3_path = tmp_path / "corpus.rpz"
-    save_dataset_v2(paper_synthetic.scans, v2_path)
     save_dataset(paper_synthetic.scans, v3_path)
     container_bytes = v3_path.stat().st_size
 
-    def open_to_first_query(path):
+    def open_to_first_query(materialize):
         gc.collect()
         start = time.perf_counter()
-        dataset = load_dataset(path)
+        dataset = load_dataset(v3_path)
+        if materialize:
+            dataset.materialize()
         distinct = len(set(dataset.build_columns().ip))
         return distinct, time.perf_counter() - start
 
     rounds = 3
-    v2_distinct, v2_cost = open_to_first_query(v2_path)
-    mapped_distinct, mapped_cost = open_to_first_query(v3_path)
-    assert mapped_distinct == v2_distinct  # same answer from both substrates
+    materialized_distinct, materialized_cost = open_to_first_query(True)
+    mapped_distinct, mapped_cost = open_to_first_query(False)
+    assert mapped_distinct == materialized_distinct  # same answer both ways
     for _ in range(rounds - 1):
-        v2_cost = min(v2_cost, open_to_first_query(v2_path)[1])
-        mapped_cost = min(mapped_cost, open_to_first_query(v3_path)[1])
-    open_speedup = v2_cost / mapped_cost
+        materialized_cost = min(materialized_cost, open_to_first_query(True)[1])
+        mapped_cost = min(mapped_cost, open_to_first_query(False)[1])
+    open_speedup = materialized_cost / mapped_cost
 
     # --- shared-page fan-out: per-worker memory of 4 mapped workers ---
     n_workers = 4
@@ -672,7 +666,7 @@ def test_perf_mmap(paper_synthetic, results_dir, record_result, tmp_path):
 
     # Acceptance gates, checked before any result file is written: a
     # failing (noisy) run must never refresh the committed trajectory.
-    assert open_speedup >= 10.0, (v2_cost, mapped_cost)
+    assert open_speedup >= 10.0, (materialized_cost, mapped_cost)
     if uss_supported:
         assert mean_incremental <= 0.25 * container_bytes, (
             incremental, container_bytes
@@ -686,7 +680,7 @@ def test_perf_mmap(paper_synthetic, results_dir, record_result, tmp_path):
         f"container {container_bytes / mib:.1f} MiB",
         "",
         f"open-to-first-query (distinct IPs), minima over {rounds} rounds:",
-        f"{'v2 zip (materializing)':<26} {v2_cost:>9.3f}s",
+        f"{'materialized':<26} {materialized_cost:>9.3f}s",
         f"{'format 3 (mapped)':<26} {mapped_cost:>9.3f}s",
         f"{'speedup':<26} {open_speedup:>8.1f}x",
     ]
@@ -712,7 +706,7 @@ def test_perf_mmap(paper_synthetic, results_dir, record_result, tmp_path):
                 "container_bytes": container_bytes,
             },
             "open_seconds": {
-                "v2": round(v2_cost, 4),
+                "materialized": round(materialized_cost, 4),
                 "mapped": round(mapped_cost, 4),
                 "speedup": round(open_speedup, 2),
             },
@@ -762,9 +756,6 @@ def test_perf_obs_overhead(paper_synthetic, results_dir, record_result):
     traced round — cannot.  Acceptance: <3 % with every span and counter
     live.
     """
-    if link_parity_enabled():
-        pytest.skip("REPRO_LINK_PARITY=1 doubles every stage's work; "
-                    "overhead ratios would be meaningless")
     from repro.obs import MetricsRegistry, Tracer
     from repro.obs import runtime as obs_runtime
     from repro.study import Study
@@ -863,9 +854,6 @@ def test_perf_obs_live(paper_synthetic, results_dir, record_result, tmp_path):
       (recorded into the trajectory; the pipeline gate above already
       bounds its cost in situ).
     """
-    if link_parity_enabled():
-        pytest.skip("REPRO_LINK_PARITY=1 doubles every stage's work; "
-                    "overhead ratios would be meaningless")
     import statistics
     import threading
     import urllib.request
@@ -1039,13 +1027,13 @@ def test_perf_generation(paper_synthetic, results_dir, record_result, tmp_path):
     paid once by the session fixture and excluded from both sides):
 
     * **throughput** — a stride-4 day subset of both campaigns is scanned
-      twice per round, once through the legacy row path
-      (``run_rows`` + ``ObservationColumns.from_scans``) and once through
-      the shard path (``run_shard`` + ``merge_shards``).  As in the other
-      perf benches, each side's cost is the minimum over alternating
-      rounds; the first round also checks the two substrates agree
-      observation-for-observation.  Acceptance: columnar ≥2× the row
-      path's observations/second.
+      twice per round, once through the legacy row path (the oracle
+      ``tests.oracles.rows.RowEngine`` + ``ObservationColumns.from_scans``)
+      and once through the shard path (``run_shard`` + ``merge_shards``).
+      As in the other perf benches, each side's cost is the minimum over
+      alternating rounds; the first round also checks the two substrates
+      agree observation-for-observation.  Acceptance: columnar ≥2× the
+      row path's observations/second.
     * **peak RSS of corpus synthesis** — ``generate_streamed`` (shards
       flush straight into the ``.rpz``) vs ``generate`` + ``save_dataset``
       (corpus fully columnarized in RAM first), same small world, under
@@ -1054,9 +1042,6 @@ def test_perf_generation(paper_synthetic, results_dir, record_result, tmp_path):
 
     Both gates run *before* any result file is written.
     """
-    if link_parity_enabled():
-        pytest.skip("REPRO_LINK_PARITY=1 replays the row path inside "
-                    "collect; generation timings would be meaningless")
     world = paper_synthetic.world
     schedule = sorted(
         ((campaign, day)
@@ -1066,7 +1051,7 @@ def test_perf_generation(paper_synthetic, results_dir, record_result, tmp_path):
     )
 
     def row_run():
-        engine = ScanEngine(world)
+        engine = RowEngine(world)
         scans = [engine.run_rows(campaign, day) for campaign, day in schedule]
         return scans, ObservationColumns.from_scans(scans)
 

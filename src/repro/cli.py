@@ -8,15 +8,13 @@
   byte-identical output), which is how the ``xlarge`` preset is meant to
   be generated;
 * ``info``     — print a saved corpus' manifest (format, backend,
-  row counts, per-column byte sizes for format 3 containers); the
-  corpus digest streams over the file bytes, so no column is paged in;
+  row counts, per-column byte sizes); the corpus digest streams over
+  the file bytes, so no column is paged in;
 * ``append``   — O(day) incremental ingestion: scan one extra day of
   the same synthetic world and delta-append it to an existing format 3
   container (unchanged byte ranges raw-copied, never re-encoded); with
   ``--cache-dir`` the grown corpus' lineage is recorded so cached
   kernels of the base serve the grown corpus via one delta-merge;
-* ``convert``  — upgrade a v1/v2 ``.rpz`` archive to the mmap-native
-  format 3 container (written next to the input by default);
 * ``shard``    — scan one day of a preset world and write it as a
   shard-drop file (``.rps``): the hand-off unit the watch daemon
   ingests;
@@ -296,17 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--iterations", type=int, default=1, metavar="N",
                      help="frames to render before exiting (default: 1)")
 
-    convert = commands.add_parser(
-        "convert",
-        help="upgrade a v1/v2 .rpz archive to the mmap-native format 3",
-    )
-    convert.add_argument("corpus", help="saved v1/v2 .rpz archive")
-    convert.add_argument("--out", metavar="PATH",
-                         help="output container path "
-                              "(default: <corpus stem>.v3.rpz, adjacent "
-                              "to the input)")
-    _add_obs_flags(convert)
-
     profile = commands.add_parser(
         "profile",
         help="run every pipeline stage under tracing and print the "
@@ -432,16 +419,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    from .io import ArchiveBackend, MappedBackend, is_segment_container
+    from .io import MappedBackend
 
-    if is_segment_container(args.corpus):
-        backend = MappedBackend(args.corpus)
-    else:
-        backend = ArchiveBackend(args.corpus)
+    backend = MappedBackend(args.corpus)
     manifest = backend.describe()
-    print(f"backend: {manifest.pop('backend', 'archive')} "
-          f"({'mapped' if getattr(backend, 'mapped', False) else 'materialized'} "
-          f"columns)")
+    print(f"backend: {manifest.pop('backend')} (mapped columns)")
     segments = manifest.pop("segments", None)
     for key, value in manifest.items():
         print(f"{key}: {value}")
@@ -521,29 +503,6 @@ def _cmd_append(args) -> int:
                     f"compacted delta chain ({chain} ancestors) into a "
                     f"flat artifact"
                 )
-    return 0
-
-
-def _cmd_convert(args) -> int:
-    import pathlib
-
-    from .io import is_segment_container, load_dataset, read_manifest, save_dataset
-
-    source = pathlib.Path(args.corpus)
-    if is_segment_container(source):
-        raise SystemExit(f"{source} is already a format 3 container")
-    manifest = read_manifest(source)
-    out = pathlib.Path(args.out) if args.out else source.with_name(
-        f"{source.stem}.v3{source.suffix or '.rpz'}"
-    )
-    # The one-shot materializing converter path: the legacy archive is
-    # loaded in full (v1/v2 have no lazy surface), re-interned in
-    # canonical corpus order, and streamed back out as format 3.
-    dataset = load_dataset(source)
-    digest = save_dataset(dataset, out)
-    print(f"converted {source} (format {manifest['format']}) -> {out} "
-          f"(format 3, {format_count(dataset.n_observations)} observations)")
-    print(f"corpus digest: {digest}")
     return 0
 
 
@@ -1089,7 +1048,6 @@ _HANDLERS = {
     "split": _cmd_split,
     "fleet": _cmd_fleet,
     "top": _cmd_top,
-    "convert": _cmd_convert,
     "census": _cmd_census,
     "link": _cmd_link,
     "track": _cmd_track,
@@ -1102,13 +1060,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     handler = _HANDLERS[args.command]
-    # profile, ingest, and serve own their tracer/registry lifecycle
-    # (the daemons keep them live for their whole run); top and loadgen
-    # are pure clients.
-    if args.command in ("profile", "ingest", "serve", "top", "loadgen",
-                        "fleet"):
-        return handler(args)
-    return _with_observability(args, handler)
+    try:
+        # profile, ingest, and serve own their tracer/registry lifecycle
+        # (the daemons keep them live for their whole run); top and
+        # loadgen are pure clients.
+        if args.command in ("profile", "ingest", "serve", "top", "loadgen",
+                            "fleet"):
+            return handler(args)
+        return _with_observability(args, handler)
+    except ValueError as error:
+        # A corrupt or retired-format container is one line, not a
+        # traceback.  Imported here so the pure clients never load
+        # repro.io.
+        from .io.encoding import SegmentError
+
+        if not isinstance(error, SegmentError):
+            raise
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

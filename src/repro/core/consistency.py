@@ -17,9 +17,7 @@ scorer :func:`evaluate_link_result` instead uses the fused kernel
 certificate's per-scan locations are walked once and cached in a
 :class:`~repro.core.kernels.ConsistencyCache` (shared across groups and
 features), group scores merge the cached counters, and AS lookups are
-memoized per distinct ``(ip, routing epoch)``.  ``REPRO_LINK_PARITY=1``
-re-scores every group through the reference path and asserts
-bitwise-identical levels.
+memoized per distinct ``(ip, routing epoch)``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import Callable, Optional, Sequence
 from ..net.ip import slash16, slash24
 from ..obs import runtime as obs
 from ..scanner.dataset import ScanDataset
-from .features import link_parity_enabled
 from .kernels import ConsistencyCache, fused_group_levels
 from .linking import LinkedGroup, LinkResult
 
@@ -107,31 +104,6 @@ class ConsistencyReport:
     as_level: float
 
 
-def _naive_evaluate_link_result(
-    dataset: ScanDataset,
-    result: LinkResult,
-    as_of: ASLookup,
-) -> ConsistencyReport:
-    """The pre-kernel scorer (one walk and one AS lookup per level), kept
-    as the parity/bench reference."""
-    total = 0
-    sums = {"ip": 0.0, "/24": 0.0, "as": 0.0}
-    for group in result.groups:
-        weight = len(group)
-        total += weight
-        for level in sums:
-            sums[level] += weight * group_consistency(dataset, group, level, as_of)
-    if total == 0:
-        return ConsistencyReport(result.feature.value, 0, 0.0, 0.0, 0.0)
-    return ConsistencyReport(
-        feature_name=result.feature.value,
-        total_linked=total,
-        ip_level=sums["ip"] / total,
-        slash24_level=sums["/24"] / total,
-        as_level=sums["as"] / total,
-    )
-
-
 def evaluate_link_result(
     dataset: ScanDataset,
     result: LinkResult,
@@ -154,15 +126,6 @@ def evaluate_link_result(
         ip_level, s24_level, as_level = fused_group_levels(
             dataset, group.fingerprints, as_of, cache
         )
-        if link_parity_enabled():
-            reference = (
-                group_consistency(dataset, group, "ip", as_of),
-                group_consistency(dataset, group, "/24", as_of),
-                group_consistency(dataset, group, "as", as_of),
-            )
-            assert (ip_level, s24_level, as_level) == reference, (
-                f"consistency parity failure on {result.feature}"
-            )
         sums["ip"] += weight * ip_level
         sums["/24"] += weight * s24_level
         sums["as"] += weight * as_level

@@ -23,8 +23,6 @@ The classifier reads the per-certificate extremes precomputed by the
 ``dataset.intervals`` kernel (one CSR sweep for the whole corpus) instead
 of rebuilding a dict-of-sets per fingerprint; the §6.2 predicate only
 needs the max/min distinct-address counts and the distinct-scan count.
-``REPRO_LINK_PARITY=1`` re-runs the naive per-fingerprint path and
-asserts an identical partition.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from typing import Iterable
 
 from ..obs import runtime as obs
 from ..scanner.dataset import ScanDataset
-from .features import link_parity_enabled
 
 __all__ = ["DedupResult", "classify_unique_certificates"]
 
@@ -51,33 +48,6 @@ class DedupResult:
         """Share of certificates the linking stage must drop (paper: 1.6 %)."""
         total = len(self.unique) + len(self.non_unique)
         return len(self.non_unique) / total if total else 0.0
-
-
-def _naive_classify(
-    dataset: ScanDataset,
-    fingerprints: list[bytes],
-    max_ips_per_scan: int,
-) -> DedupResult:
-    """The pre-kernel path: a dict-of-sets walk per fingerprint."""
-    unique: set[bytes] = set()
-    non_unique: set[bytes] = set()
-    for fingerprint in fingerprints:
-        by_scan = dataset.ips_by_scan(fingerprint)
-        sizes = [len(ips) for ips in by_scan.values()]
-        if not sizes:
-            unique.add(fingerprint)
-        elif max(sizes) > max_ips_per_scan:
-            non_unique.add(fingerprint)
-        elif (
-            max_ips_per_scan >= 2
-            and len(sizes) > 1
-            and all(size == max_ips_per_scan for size in sizes)
-        ):
-            # The every-scan-exactly-two exception.
-            non_unique.add(fingerprint)
-        else:
-            unique.add(fingerprint)
-    return DedupResult(unique=frozenset(unique), non_unique=frozenset(non_unique))
 
 
 def classify_unique_certificates(
@@ -117,7 +87,4 @@ def classify_unique_certificates(
     obs.inc("dedup.certs_considered", len(fingerprints))
     obs.inc("dedup.certs_unique", len(unique))
     obs.inc("dedup.certs_collapsed", len(non_unique))
-    if link_parity_enabled():
-        naive = _naive_classify(dataset, fingerprints, max_ips_per_scan)
-        assert result == naive, "dedup parity failure"
     return result

@@ -18,14 +18,11 @@ The corpus-wide measurements (:func:`non_uniqueness_census`,
 :func:`absence_rates`) read the dataset's cached
 :class:`~repro.core.kernels.FeatureMatrix` — one interned value-id column
 per feature — instead of re-extracting every certificate per feature.
-Setting ``REPRO_LINK_PARITY=1`` makes them (and every other kernel-backed
-linking stage) re-run the naive per-object path and assert equality.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from typing import Hashable, Iterable, Optional
 
 from ..net.ip import looks_like_ipv4
@@ -38,18 +35,7 @@ __all__ = [
     "linkable_value",
     "non_uniqueness_census",
     "absence_rates",
-    "LINK_PARITY_ENV",
 ]
-
-#: Environment knob: every kernel-backed linking stage re-runs the naive
-#: row path and asserts bitwise-identical results (mirror of
-#: ``REPRO_DATASET_PARITY`` for the §6 kernels).
-LINK_PARITY_ENV = "REPRO_LINK_PARITY"
-
-
-def link_parity_enabled() -> bool:
-    """True when the kernel/naive cross-check knob is set."""
-    return bool(os.environ.get(LINK_PARITY_ENV))
 
 
 class Feature(enum.Enum):
@@ -122,28 +108,6 @@ def linkable_value(cert: Certificate, feature: Feature) -> Optional[Hashable]:
     return value
 
 
-def _naive_non_uniqueness_census(
-    dataset: ScanDataset, fingerprints: list[bytes]
-) -> dict[Feature, float]:
-    """The pre-kernel Table 5 path: one full extraction sweep per feature."""
-    result: dict[Feature, float] = {}
-    for feature in Feature:
-        counts: dict[Hashable, int] = {}
-        carriers = 0
-        for fingerprint in fingerprints:
-            value = extract(dataset.certificate(fingerprint), feature)
-            if value is None:
-                continue
-            carriers += 1
-            counts[value] = counts.get(value, 0) + 1
-        if carriers == 0:
-            result[feature] = 0.0
-            continue
-        shared = sum(count for count in counts.values() if count > 1)
-        result[feature] = shared / carriers
-    return result
-
-
 def non_uniqueness_census(
     dataset: ScanDataset, fingerprints: Iterable[bytes]
 ) -> dict[Feature, float]:
@@ -168,25 +132,6 @@ def non_uniqueness_census(
             continue
         shared = sum(count for count in counts.values() if count > 1)
         result[feature] = shared / carriers
-    if link_parity_enabled():
-        naive = _naive_non_uniqueness_census(dataset, fingerprints)
-        assert result == naive, f"census parity: {result} != {naive}"
-    return result
-
-
-def _naive_absence_rates(
-    dataset: ScanDataset, fingerprints: list[bytes]
-) -> dict[Feature, float]:
-    """The pre-kernel absence path: one extraction sweep per feature."""
-    total = len(fingerprints)
-    result: dict[Feature, float] = {}
-    for feature in Feature:
-        missing = sum(
-            1
-            for fingerprint in fingerprints
-            if extract(dataset.certificate(fingerprint), feature) is None
-        )
-        result[feature] = missing / total if total else 0.0
     return result
 
 
@@ -207,7 +152,4 @@ def absence_rates(
         column = matrix.raw_ids[feature]
         missing = sum(1 for row in rows if column[row] < 0)
         result[feature] = missing / total if total else 0.0
-    if link_parity_enabled():
-        naive = _naive_absence_rates(dataset, fingerprints)
-        assert result == naive, f"absence parity: {result} != {naive}"
     return result

@@ -29,9 +29,9 @@ extremes consumed by dedup, the overlap rule, and the lifetime statistics
 live in :class:`repro.scanner.columns.CertIntervals`
 (``dataset.intervals``), the third kernel of the set.
 
-Every consumer guards the kernel path with the ``REPRO_LINK_PARITY=1``
-cross-check (see :mod:`repro.core.features`): outputs are bitwise-identical
-to the pre-kernel row path.
+Outputs are bitwise-identical to the pre-kernel row path; the test suite
+holds every kernel to that path's reference implementations in
+``tests/oracles/``.
 """
 
 from __future__ import annotations

@@ -9,12 +9,15 @@ sweep — Figure 9's PK2 case.  Two or more overlapping scans mean two
 devices serving distinct certificates simultaneously — the PK3 case — and
 the whole group is rejected for that field.)
 
+A certificate that no scan observed has no lifetime, so the overlap rule
+cannot place it: it leaves its bucket before the rule runs and stays in
+the unlinked population (dedup keeps such certificates as unique).
+
 Both stages run on the columnar kernels: grouping buckets interned value
 ids from the dataset's :class:`~repro.core.kernels.FeatureMatrix` instead
 of re-extracting each certificate, and the overlap rule reads the
 (first, last) scan-index arrays of ``dataset.intervals`` instead of
-materializing each member's full scan list.  ``REPRO_LINK_PARITY=1``
-re-runs the naive row path and asserts identical results.
+materializing each member's full scan list.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 from ..obs import runtime as obs
 from ..scanner.dataset import ScanDataset
-from .features import Feature, link_parity_enabled, linkable_value
+from .features import Feature
 
 __all__ = ["LinkedGroup", "LinkResult", "group_by_feature", "link_on_feature"]
 
@@ -65,21 +68,6 @@ class LinkResult:
         return sum(len(group) for group in self.groups)
 
 
-def _naive_group_by_feature(
-    dataset: ScanDataset,
-    fingerprints: list[bytes],
-    feature: Feature,
-) -> dict[Hashable, list[bytes]]:
-    """The pre-kernel path: re-extract the field from every certificate."""
-    buckets: dict[Hashable, list[bytes]] = {}
-    for fingerprint in fingerprints:
-        value = linkable_value(dataset.certificate(fingerprint), feature)
-        if value is None:
-            continue
-        buckets.setdefault(value, []).append(fingerprint)
-    return buckets
-
-
 def group_by_feature(
     dataset: ScanDataset,
     fingerprints: Iterable[bytes],
@@ -101,11 +89,7 @@ def group_by_feature(
         else:
             members.append(fingerprint)
     values = matrix.values[feature]
-    buckets = {values[value_id]: members for value_id, members in by_id.items()}
-    if link_parity_enabled():
-        naive = _naive_group_by_feature(dataset, fingerprints, feature)
-        assert buckets == naive, f"grouping parity failure on {feature}"
-    return buckets
+    return {values[value_id]: members for value_id, members in by_id.items()}
 
 
 def _max_pairwise_overlap(intervals: Sequence[tuple[int, int]]) -> int:
@@ -125,42 +109,6 @@ def _max_pairwise_overlap(intervals: Sequence[tuple[int, int]]) -> int:
         if running_max_end is None or end > running_max_end:
             running_max_end = end
     return worst
-
-
-def _naive_link_on_feature(
-    dataset: ScanDataset,
-    fingerprints: Iterable[bytes],
-    feature: Feature,
-    overlap_allowance: int = 1,
-) -> LinkResult:
-    """The pre-kernel linking path, kept as the parity/bench reference."""
-    buckets = _naive_group_by_feature(dataset, list(fingerprints), feature)
-    groups: list[LinkedGroup] = []
-    rejected = singletons = 0
-    for value, members in buckets.items():
-        if len(members) < 2:
-            singletons += 1
-            continue
-        intervals = []
-        for fingerprint in members:
-            scan_idxs = dataset.scan_indexes_of(fingerprint)
-            intervals.append((scan_idxs[0], scan_idxs[-1]))
-        if _max_pairwise_overlap(intervals) > overlap_allowance:
-            rejected += 1
-            continue
-        groups.append(
-            LinkedGroup(
-                feature=feature,
-                value=value,
-                fingerprints=tuple(sorted(members)),
-            )
-        )
-    return LinkResult(
-        feature=feature,
-        groups=groups,
-        rejected_values=rejected,
-        singleton_values=singletons,
-    )
 
 
 def _record_link_metrics(groups: list[LinkedGroup], rejected: int,
@@ -192,6 +140,9 @@ def link_on_feature(
     groups: list[LinkedGroup] = []
     rejected = singletons = 0
     for value, members in buckets.items():
+        if len(members) > 1:
+            # A never-observed member has no lifetime to overlap-test.
+            members = [fp for fp in members if fp in cert_ids]
         if len(members) < 2:
             singletons += 1
             continue
@@ -199,12 +150,6 @@ def link_on_feature(
         for fingerprint in members:
             cert_id = cert_ids[fingerprint]
             intervals.append((first_scan[cert_id], last_scan[cert_id]))
-        if link_parity_enabled():
-            naive = [
-                (scan_idxs[0], scan_idxs[-1])
-                for scan_idxs in map(dataset.scan_indexes_of, members)
-            ]
-            assert intervals == naive, f"interval parity failure on {feature}"
         if _max_pairwise_overlap(intervals) > overlap_allowance:
             rejected += 1
             continue

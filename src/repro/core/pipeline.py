@@ -27,7 +27,7 @@ from ..obs import runtime as obs
 from ..scanner.dataset import ScanDataset
 from ..stats.cdf import CDF
 from .consistency import ASLookup, ConsistencyReport, evaluate_link_result
-from .features import Feature, link_parity_enabled
+from .features import Feature
 from .kernels import ConsistencyCache
 from .linking import LinkedGroup, LinkResult, link_on_feature
 
@@ -281,39 +281,6 @@ class LifetimeImprovement:
     mean_lifetime_after: float
 
 
-def _naive_lifetime_improvement(
-    dataset: ScanDataset,
-    pipeline: PipelineResult,
-    fingerprints: list[bytes],
-) -> LifetimeImprovement:
-    """The pre-kernel path: two index walks per unlinked fingerprint."""
-    before = [dataset.lifetime_days(fp) for fp in fingerprints]
-    before_single = [len(dataset.scan_indexes_of(fp)) == 1 for fp in fingerprints]
-
-    linked = pipeline.linked_fingerprints()
-    after: list[int] = []
-    after_single: list[bool] = []
-    for fingerprint in fingerprints:
-        if fingerprint not in linked:
-            after.append(dataset.lifetime_days(fingerprint))
-            after_single.append(len(dataset.scan_indexes_of(fingerprint)) == 1)
-    for group in pipeline.groups:
-        scan_idxs = sorted(
-            {idx for fp in group.fingerprints for idx in dataset.scan_indexes_of(fp)}
-        )
-        first_day = dataset.scans[scan_idxs[0]].day
-        last_day = dataset.scans[scan_idxs[-1]].day
-        after.append(last_day - first_day + 1)
-        after_single.append(len(scan_idxs) == 1)
-
-    return LifetimeImprovement(
-        single_scan_fraction_before=sum(before_single) / len(before_single),
-        single_scan_fraction_after=sum(after_single) / len(after_single),
-        mean_lifetime_before=sum(before) / len(before),
-        mean_lifetime_after=sum(after) / len(after),
-    )
-
-
 def lifetime_improvement(
     dataset: ScanDataset,
     pipeline: PipelineResult,
@@ -323,12 +290,13 @@ def lifetime_improvement(
 
     'Before' is per certificate; 'after' replaces each group's members with
     a single unit spanning from the group's first to last sighting, while
-    unlinked certificates keep their own lifetimes.  Lifetimes, single-scan
-    flags, and per-group spans all come from the (first, last) scan-index
-    arrays of ``dataset.intervals`` in one pass per fingerprint — a group's
-    first (last) sighting is the min (max) of its members' interval
-    endpoints, and the merged unit is single-scan exactly when those
-    coincide.
+    unlinked certificates keep their own lifetimes.  A certificate no
+    scan observed has no lifetime and counts on neither side.
+    Lifetimes, single-scan flags, and per-group spans all come from the
+    (first, last) scan-index arrays of ``dataset.intervals`` in one pass
+    per fingerprint — a group's first (last) sighting is the min (max)
+    of its members' interval endpoints, and the merged unit is
+    single-scan exactly when those coincide.
     """
     fingerprints = list(fingerprints)
     cert_ids = dataset.columns.fingerprint_ids
@@ -342,7 +310,9 @@ def lifetime_improvement(
     after: list[int] = []
     after_single: list[bool] = []
     for fingerprint in fingerprints:
-        cert_id = cert_ids[fingerprint]
+        cert_id = cert_ids.get(fingerprint)
+        if cert_id is None:
+            continue
         lifetime = days[last_scan[cert_id]] - days[first_scan[cert_id]] + 1
         single = n_scans[cert_id] == 1
         before.append(lifetime)
@@ -357,13 +327,9 @@ def lifetime_improvement(
         after.append(days[last] - days[first] + 1)
         after_single.append(first == last)
 
-    result = LifetimeImprovement(
+    return LifetimeImprovement(
         single_scan_fraction_before=sum(before_single) / len(before_single),
         single_scan_fraction_after=sum(after_single) / len(after_single),
         mean_lifetime_before=sum(before) / len(before),
         mean_lifetime_after=sum(after) / len(after),
     )
-    if link_parity_enabled():
-        naive = _naive_lifetime_improvement(dataset, pipeline, fingerprints)
-        assert result == naive, f"lifetime parity: {result} != {naive}"
-    return result

@@ -22,7 +22,6 @@ from ..scanner.dataset import ScanDataset
 from ..x509.certificate import Certificate
 from ..x509.chain import ChainVerifier, VerifyResult, VerifyStatus
 from ..x509.truststore import TrustStore
-from .features import link_parity_enabled
 
 __all__ = ["ValidationReport", "validate_dataset"]
 
@@ -83,17 +82,10 @@ def validate_dataset(
     candidates before any leaf is judged — the paper's transvalid handling.
     """
     certificates = list(dataset.certificates.values())
-    extra_intermediates = tuple(extra_intermediates)
     verifier = ChainVerifier(trust_store, extra_intermediates)
     for certificate in certificates:
         verifier.add_intermediate(certificate)
     results = verifier.verify_all(certificates)
-    if link_parity_enabled():
-        naive = ChainVerifier(trust_store, extra_intermediates, memoize=False)
-        for certificate in certificates:
-            naive.add_intermediate(certificate)
-        naive_results = naive.verify_all(certificates)
-        assert naive_results == results, "validation memoization parity failure"
     report = ValidationReport(results=results)
     obs.inc("validation.certs_valid", len(report.valid))
     obs.inc("validation.certs_invalid", len(report.invalid))

@@ -57,7 +57,7 @@ class StreamedGeneration:
     campaigns: tuple[ScanCampaign, ScanCampaign]
     path: pathlib.Path
     #: Corpus digest, computed incrementally while writing; equals
-    #: ``ArchiveBackend(path).corpus_digest()``.
+    #: ``MappedBackend(path).corpus_digest()``.
     digest: str
     n_scans: int
     n_observations: int

@@ -2,7 +2,6 @@
 
 from .artifacts import ARTIFACT_SCHEMA, ArtifactCache, LoadedArtifacts
 from .backends import (
-    ArchiveBackend,
     DatasetBackend,
     InMemoryBackend,
     LazyCertificates,
@@ -21,18 +20,14 @@ from .split import (
 from .environment import AnalysisEnvironment, load_environment, save_environment
 from .store import (
     FORMAT_VERSION,
-    SUPPORTED_FORMATS,
     AppendResult,
     ShardDrop,
     StreamingDatasetWriter,
     append_shards,
     load_dataset,
-    read_certificates,
     read_manifest,
-    read_scans,
     read_shard_drop,
     save_dataset,
-    save_dataset_v2,
     write_shard_drop,
 )
 from .watch import DROP_SUFFIX, WatchIngestor
@@ -44,7 +39,6 @@ __all__ = [
     "AnalysisEnvironment",
     "load_environment",
     "save_environment",
-    "ArchiveBackend",
     "DatasetBackend",
     "InMemoryBackend",
     "LazyCertificates",
@@ -60,16 +54,12 @@ __all__ = [
     "split_corpus",
     "verify_fleet",
     "FORMAT_VERSION",
-    "SUPPORTED_FORMATS",
     "AppendResult",
     "append_shards",
     "StreamingDatasetWriter",
     "load_dataset",
-    "read_certificates",
     "read_manifest",
-    "read_scans",
     "save_dataset",
-    "save_dataset_v2",
     "ShardDrop",
     "write_shard_drop",
     "read_shard_drop",

@@ -11,10 +11,9 @@ builds and the chain walks entirely.
 
 Digest scheme (the cache key):
 
-* file-backed corpora (:class:`~repro.io.backends.ArchiveBackend`,
-  :class:`~repro.io.backends.MappedBackend`) hash the corpus **file
-  bytes** (SHA-256, streamed in chunks — the ``.rpz`` is the corpus'
-  identity, nothing needs parsing);
+* file-backed corpora (:class:`~repro.io.backends.MappedBackend`) hash
+  the corpus **file bytes** (SHA-256, streamed in chunks — the ``.rpz``
+  is the corpus' identity, nothing needs parsing);
 * in-memory corpora hash a **canonical columnar encoding**: per-scan
   (day, source) metadata, the five observation columns as little-endian
   bytes, the interning tables, and the sorted fingerprint list of the

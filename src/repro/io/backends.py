@@ -6,26 +6,28 @@ corpus lives*.  A :class:`DatasetBackend` is anything that can produce
 the row scans and the certificate table; ``ScanDataset.from_backend``
 materializes the analysis view on top.
 
-Three backends ship:
+Two backends ship:
 
 * :class:`InMemoryBackend` — holds the corpus **columnar**
   (:class:`~repro.scanner.columns.ObservationColumns` plus per-scan
   metadata) and rehydrates row ``Scan`` objects on demand; this is what a
   freshly scanned corpus lives in;
-* :class:`ArchiveBackend` — lazy view over one ``.rpz`` archive (any
-  format); nothing is read until a load method is called, so cheap
-  operations like :meth:`describe` never parse certificates;
 * :class:`MappedBackend` — zero-copy view over a format 3 container:
   open is O(1), columns are ``memoryview``s over one shared ``mmap``,
   certificates parse lazily on first access, and pickling ships only
   the *path* — pool workers re-map the file and share physical pages
   through the OS page cache instead of each holding a private copy.
+
+Format 3 is the only corpus format read: :func:`open_corpus` validates
+the trailer, manifest, kind, and segment set at open, and anything else
+(a retired format 1/2 ZIP archive, junk, a truncated file, a container
+without the ``cert_hash`` lookup segment) raises
+:class:`~repro.io.encoding.SegmentError` there, never on first query.
 """
 
 from __future__ import annotations
 
 import pathlib
-from bisect import bisect_left
 from collections import OrderedDict
 from typing import (
     Dict,
@@ -54,14 +56,58 @@ from .encoding import (
 __all__ = [
     "DatasetBackend",
     "InMemoryBackend",
-    "ArchiveBackend",
     "MappedBackend",
     "LazyCertificates",
+    "open_corpus",
 ]
 
 #: Byte length of the big-endian record length prefix inside
 #: ``certificates.der`` (see :func:`repro.io.encoding.pack_der_record`).
 _DER_PREFIX = 4
+
+#: Every segment a format 3 corpus container holds.
+_CORPUS_SEGMENTS = (
+    "scan_idx", "ip", "cert_id", "entity_id", "handshake_id",
+    "fingerprints", "entities", "handshakes", "scan_days", "scan_sources",
+    "scan_bounds", "cert_order", "certificates.der", "cert_offsets",
+    FP_HASH_SEGMENT,
+)
+
+#: Leading bytes of a ZIP archive: the retired corpus formats 1 and 2.
+_ZIP_MAGIC = b"PK\x03\x04"
+
+
+def open_corpus(path: Union[str, pathlib.Path]) -> SegmentReader:
+    """Open a format 3 corpus container, validated, in O(1).
+
+    Reads the trailer and manifest only (no ``mmap`` yet) and checks the
+    container kind, format, and segment set, so every structural defect
+    surfaces here as one :class:`SegmentError` naming the file.
+    """
+    path = pathlib.Path(path)
+    try:
+        reader = SegmentReader(path)
+    except SegmentError:
+        with open(path, "rb") as handle:
+            if handle.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
+                raise SegmentError(
+                    f"{path}: a ZIP archive (corpus format 1 or 2); those "
+                    "formats are no longer read, regenerate the corpus "
+                    "with `repro generate`"
+                ) from None
+        raise
+    kind = reader.meta.get("kind")
+    if kind != "corpus" or reader.format != 3:
+        raise SegmentError(
+            f"{path}: not a format 3 corpus container "
+            f"(kind={kind!r}, format={reader.format!r})"
+        )
+    missing = [name for name in _CORPUS_SEGMENTS if name not in reader]
+    if missing:
+        raise SegmentError(
+            f"{path}: corpus container lacks segment(s) {', '.join(missing)}"
+        )
+    return reader
 
 
 @runtime_checkable
@@ -179,54 +225,18 @@ class InMemoryBackend:
         }
 
 
-class ArchiveBackend:
-    """Lazy corpus view over one ``.rpz`` archive (format v1 or v2)."""
-
-    def __init__(self, path: Union[str, pathlib.Path]) -> None:
-        self.path = pathlib.Path(path)
-        self._corpus_digest: Optional[str] = None
-
-    def corpus_digest(self) -> str:
-        """Streaming SHA-256 over the archive's bytes (nothing parsed)."""
-        if self._corpus_digest is None:
-            from .artifacts import file_digest
-
-            self._corpus_digest = file_digest(self.path)
-        return self._corpus_digest
-
-    def load_scans(self) -> List[Scan]:
-        from .store import read_scans
-
-        return read_scans(self.path)
-
-    def load_certificates(self) -> Dict[bytes, Certificate]:
-        from .store import read_certificates
-
-        return read_certificates(self.path)
-
-    def describe(self) -> dict:
-        from .store import read_manifest
-
-        manifest = read_manifest(self.path)
-        manifest.setdefault("backend", "archive")
-        return manifest
-
-
 class LazyCertificates(Mapping):
     """fingerprint → :class:`Certificate` over a mapped container.
 
     Lookup is O(1) via the persisted ``cert_hash`` open-addressing
     segment (probed directly against the mapped ``cert_order`` bytes —
-    no per-key Python objects are ever built); containers written
-    before the segment existed fall back to a binary search over a
-    lazily built row permutation sorted by fingerprint.  Each
-    certificate's DER parses on first ``[]`` access (O(1) via the
-    parallel ``cert_offsets`` segment) and lands in a **bounded** LRU
-    memo, so a serve workload hammering a hot set parses each
-    certificate once (``io.der_parse_total`` counts actual parses)
-    while a full-corpus sweep cannot grow memory without bound.
-    Nothing is parsed at construction, which is what keeps a mapped
-    corpus open O(1).
+    no per-key Python objects are ever built).  Each certificate's DER
+    parses on first ``[]`` access (O(1) via the parallel
+    ``cert_offsets`` segment) and lands in a **bounded** LRU memo, so a
+    serve workload hammering a hot set parses each certificate once
+    (``io.der_parse_total`` counts actual parses) while a full-corpus
+    sweep cannot grow memory without bound.  Nothing is parsed at
+    construction, which is what keeps a mapped corpus open O(1).
     """
 
     #: Default bound on the decoded-certificate memo (entries).  At
@@ -244,10 +254,6 @@ class LazyCertificates(Mapping):
         self._offsets = None
         self._fp_blob = None
         self._hash = None
-        self._hash_checked = False
-        #: Fallback for pre-``cert_hash`` containers: row indexes
-        #: sorted by fingerprint bytes, binary-searched per lookup.
-        self._sorted_rows: "Optional[list[int]]" = None
         self._cache: "OrderedDict[bytes, Certificate]" = OrderedDict()
         self._cache_size = (
             self.DEFAULT_CACHE_SIZE if cache_size is None else cache_size
@@ -263,29 +269,10 @@ class LazyCertificates(Mapping):
 
     def _row_of(self, fingerprint: bytes) -> Optional[int]:
         """``cert_order`` row for a fingerprint, or ``None`` if absent."""
-        if self._fp_blob is None:
+        if self._hash is None:
             self._fp_blob = self._reader.raw("cert_order")
-        if not self._hash_checked:
-            self._hash_checked = True
-            if FP_HASH_SEGMENT in self._reader:
-                self._hash = self._reader.array(FP_HASH_SEGMENT)
-        if self._hash is not None:
-            return fingerprint_hash_find(
-                self._hash, self._fp_blob, fingerprint
-            )
-        order = self.fingerprints()
-        if self._sorted_rows is None:
-            self._sorted_rows = sorted(
-                range(len(order)), key=order.__getitem__
-            )
-        position = bisect_left(
-            self._sorted_rows, fingerprint, key=order.__getitem__
-        )
-        if position < len(self._sorted_rows):
-            row = self._sorted_rows[position]
-            if order[row] == fingerprint:
-                return row
-        return None
+            self._hash = self._reader.array(FP_HASH_SEGMENT)
+        return fingerprint_hash_find(self._hash, self._fp_blob, fingerprint)
 
     def __len__(self) -> int:
         return self._reader.meta["n_certificates"]
@@ -340,24 +327,13 @@ class MappedBackend:
 
     def __init__(self, path: Union[str, pathlib.Path]) -> None:
         self.path = pathlib.Path(path)
-        self._reader: Optional[SegmentReader] = None
+        #: The validated container reader (manifest parsed at open,
+        #: file mapped lazily on first data access).
+        self.reader = open_corpus(self.path)
         self._columns: Optional[ObservationColumns] = None
         self._scan_meta: "Optional[list[tuple[int, str, int, int]]]" = None
         self._certificates: Optional[LazyCertificates] = None
         self._corpus_digest: Optional[str] = None
-
-    @property
-    def reader(self) -> SegmentReader:
-        """The container reader (manifest parsed once, mapped lazily)."""
-        if self._reader is None:
-            reader = SegmentReader(self.path)
-            if reader.meta.get("kind") != "corpus":
-                raise SegmentError(
-                    f"not a corpus container: {self.path} "
-                    f"(kind={reader.meta.get('kind')!r})"
-                )
-            self._reader = reader
-        return self._reader
 
     @property
     def columns(self) -> ObservationColumns:

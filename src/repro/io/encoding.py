@@ -487,26 +487,27 @@ class SegmentReader:
         with open(self.path, "rb") as handle:
             head = handle.read(len(CONTAINER_MAGIC))
             if head != CONTAINER_MAGIC:
-                raise SegmentError(f"not a segment container: {self.path}")
+                raise self._error("not a segment container")
             handle.seek(0, 2)
             size = handle.tell()
             if size < len(CONTAINER_MAGIC) + _TRAILER.size:
-                raise SegmentError("container truncated: no trailer")
+                raise self._error("container truncated: no trailer")
             handle.seek(size - _TRAILER.size)
             offset, length, end = _TRAILER.unpack(handle.read(_TRAILER.size))
             if end != _END_MAGIC:
-                raise SegmentError("container truncated: bad end magic")
+                raise self._error("container truncated: bad end magic")
             if offset + length + _TRAILER.size != size:
-                raise SegmentError("container corrupt: trailer bounds")
+                raise self._error("container corrupt: trailer bounds")
             handle.seek(offset)
             try:
                 manifest = json.loads(handle.read(length))
             except ValueError as error:
-                raise SegmentError(f"container manifest is not valid JSON "
-                                   f"({error})")
+                raise self._error(
+                    f"container manifest is not valid JSON ({error})"
+                )
         if not isinstance(manifest, dict) \
                 or not isinstance(manifest.get("segments"), list):
-            raise SegmentError("container manifest malformed")
+            raise self._error("container manifest malformed")
         self.format = manifest.get("format")
         self.meta: dict = manifest.get("meta") or {}
         self._size = size
@@ -515,10 +516,14 @@ class SegmentReader:
         }
         for entry in self._segments.values():
             if entry["offset"] + entry["length"] > size - _TRAILER.size:
-                raise SegmentError(
+                raise self._error(
                     f"container corrupt: segment {entry['name']!r} "
                     f"out of bounds"
                 )
+
+    def _error(self, reason: str) -> SegmentError:
+        """A structural failure of this file, as ``<path>: <reason>``."""
+        return SegmentError(f"{self.path}: {reason}")
 
     # --- mapping ---------------------------------------------------------------
 

@@ -588,8 +588,6 @@ def split_corpus(
     corpus = pathlib.Path(corpus)
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not is_segment_container(corpus):
-        raise ValueError(f"not a format 3 corpus container: {corpus}")
 
     with obs.span("split/analyze", shards=shards):
         dataset = load_dataset(corpus)

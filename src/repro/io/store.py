@@ -4,24 +4,21 @@ The paper published its code and data (securepki.org); this module is the
 equivalent facility: a :class:`~repro.scanner.dataset.ScanDataset` round-
 trips through a single ``.rpz`` file.
 
-**Format 3 (written)** is the mmap-native segment container of
-:mod:`repro.io.encoding`: the five observation columns, the interning
-tables, the per-scan metadata, and the certificate blob each live in one
-fixed-stride little-endian segment, described by a JSON manifest at the
-tail of the file.  Opening a format 3 corpus is O(1) — read the trailer,
-parse the manifest, ``mmap`` the file — and every column is consumed in
-place as a ``memoryview`` over the map, so N processes analyzing the
-same corpus share one physical copy through the page cache.
-``certificates.der`` keeps the standalone-parseable record encoding of
-the earlier formats (4-byte big-endian length + raw X.509 DER), with a
-parallel offset segment for O(1) per-certificate access; certificates
-are parsed lazily, on first use.
-
-**Formats 1 and 2** (ZIP archives: row- and column-oriented
-``scans.jsonl``) are still loaded transparently through the one-shot
-materializing converter path; ``repro convert`` rewrites them as
-format 3.  :func:`save_dataset_v2` keeps the v2 writer alive for
-compatibility fixtures and benchmarks.
+**Format 3** — the only corpus format read or written — is the
+mmap-native segment container of :mod:`repro.io.encoding`: the five
+observation columns, the interning tables, the per-scan metadata, and
+the certificate blob each live in one fixed-stride little-endian
+segment, described by a JSON manifest at the tail of the file.  Opening
+a corpus is O(1) — read the trailer, parse the manifest, ``mmap`` the
+file — and every column is consumed in place as a ``memoryview`` over
+the map, so N processes analyzing the same corpus share one physical
+copy through the page cache.  ``certificates.der`` keeps a
+standalone-parseable record encoding (4-byte big-endian length + raw
+X.509 DER), with a parallel offset segment for O(1) per-certificate
+access; certificates are parsed lazily, on first use.  A file that is
+not an intact corpus container (including a ZIP archive of the retired
+formats 1 and 2) fails at open with a
+:class:`~repro.io.encoding.SegmentError`.
 
 DER is the ground-truth encoding: every certificate read re-parses
 through :meth:`Certificate.from_der`, so a stored corpus exercises
@@ -30,42 +27,34 @@ exactly the same parse path a real scan corpus would.
 
 from __future__ import annotations
 
-import json
 import pathlib
-import struct
-import zipfile
 from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from ..obs import runtime as obs
 from ..scanner.dataset import ScanDataset
-from ..scanner.records import Observation, Scan
 from ..scanner.shards import ScanShard, certificate_order
 from ..tls.handshake import HandshakeRecord
 from ..x509.certificate import Certificate
+from .backends import MappedBackend, open_corpus
 from .encoding import (
     FP_HASH_SEGMENT,
     SegmentReader,
     SegmentWriter,
     as_array,
     build_fingerprint_hash,
-    is_segment_container,
     iter_der_records,
     le_bytes,
     pack_der_record,
     pack_fingerprints,
-    read_container_meta,
     unpack_fingerprints,
 )
 
 __all__ = [
     "save_dataset",
-    "save_dataset_v2",
     "load_dataset",
     "read_manifest",
-    "read_certificates",
-    "read_scans",
     "append_shards",
     "AppendResult",
     "StreamingDatasetWriter",
@@ -76,14 +65,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 3
-
-#: Formats :func:`load_dataset` understands.
-SUPPORTED_FORMATS = (1, 2, 3)
-
-_LENGTH = struct.Struct(">I")
-
-#: Fixed member timestamp (the ZIP epoch) for the legacy v2 writer.
-_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 #: The four spooled observation columns (scan_idx regenerates at close).
 _SPOOLED = (("ip", "I"), ("cert_id", "I"), ("entity_id", "I"),
@@ -106,7 +87,7 @@ class StreamingDatasetWriter:
     O(corpus).  :meth:`close` assembles the final format 3 container
     through the hashing :class:`~repro.io.encoding.SegmentWriter` and
     returns the corpus digest, which equals both
-    ``ArchiveBackend(path).corpus_digest()`` and the digest of a
+    ``MappedBackend(path).corpus_digest()`` and the digest of a
     :func:`save_dataset` write of the same corpus, byte for byte.
     """
 
@@ -388,10 +369,8 @@ def append_shards(
         raise ValueError("nothing to append")
     base_path = pathlib.Path(base)
     path = pathlib.Path(path)
-    reader = SegmentReader(base_path)
+    reader = open_corpus(base_path)
     meta = reader.meta
-    if reader.format != FORMAT_VERSION or meta.get("kind") != "corpus":
-        raise ValueError(f"not a format 3 corpus container: {base_path}")
     new_days = tuple(dict.fromkeys(shard.day for shard in shards))
     with obs.span("ingest/append_day", shards=len(shards),
                   days=len(new_days)):
@@ -750,223 +729,24 @@ def read_shard_drop(path: Union[str, pathlib.Path]) -> ShardDrop:
 
 
 # ---------------------------------------------------------------------------
-# Legacy v2 writer (compatibility fixtures, conversion baselines)
+# Reading (O(1) mapped opens)
 # ---------------------------------------------------------------------------
-
-def save_dataset_v2(dataset: ScanDataset, path: Union[str, pathlib.Path]) -> str:
-    """Write the legacy columnar ZIP archive (format 2).
-
-    Kept for backward-compatibility fixtures and as the materializing
-    baseline the mmap benchmarks compare against; new corpora should use
-    :func:`save_dataset`.  Returns the archive's corpus digest.
-    """
-    from .artifacts import file_digest
-
-    columns = dataset.columns
-    order = certificate_order(columns.fingerprints, dataset.certificates)
-    manifest = {
-        "format": 2,
-        "n_scans": len(dataset.scans),
-        "n_certificates": len(dataset.certificates),
-        "n_observations": dataset.n_observations,
-    }
-
-    def member(name: str) -> zipfile.ZipInfo:
-        info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
-        info.compress_type = zipfile.ZIP_DEFLATED
-        return info
-
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as archive:
-        archive.writestr(member("manifest.json"), json.dumps(manifest, indent=2))
-        with archive.open(member("certificates.der"), "w") as blob:
-            for fingerprint in order:
-                der = dataset.certificates[fingerprint].to_der()
-                blob.write(_LENGTH.pack(len(der)))
-                blob.write(der)
-        archive.writestr(
-            member("entities.json"),
-            json.dumps(columns.entities, separators=(",", ":")),
-        )
-        archive.writestr(
-            member("handshakes.json"),
-            json.dumps(
-                [list(record) for record in columns.handshakes],
-                separators=(",", ":"),
-            ),
-        )
-        with archive.open(member("scans.jsonl"), "w") as blob:
-            position = 0
-            for scan in dataset.scans:
-                end = position + len(scan)
-                row = {
-                    "day": scan.day,
-                    "source": scan.source,
-                    "ip": list(columns.ip[position:end]),
-                    "cert": list(columns.cert_id[position:end]),
-                    "entity": list(columns.entity_id[position:end]),
-                    "hs": list(columns.handshake_id[position:end]),
-                }
-                blob.write(json.dumps(row, separators=(",", ":")).encode())
-                blob.write(b"\n")
-                position = end
-    return file_digest(path)
-
-
-# ---------------------------------------------------------------------------
-# Reading (v1/v2 ZIP archives — the materializing converter path)
-# ---------------------------------------------------------------------------
-
-def _read_zip_manifest(archive: zipfile.ZipFile) -> dict:
-    try:
-        manifest = json.loads(archive.read("manifest.json"))
-    except ValueError as error:
-        raise ValueError(f"corpus corrupt: manifest is not valid JSON ({error})")
-    if not isinstance(manifest, dict):
-        raise ValueError("corpus corrupt: manifest is not a JSON object")
-    if manifest.get("format") not in SUPPORTED_FORMATS:
-        raise ValueError(f"unsupported corpus format {manifest.get('format')!r}")
-    return manifest
-
-
-def _unpack_certificates(blob: bytes) -> list[Certificate]:
-    certificates = []
-    offset = 0
-    while offset < len(blob):
-        (length,) = _LENGTH.unpack_from(blob, offset)
-        offset += _LENGTH.size
-        certificates.append(Certificate.from_der(blob[offset:offset + length]))
-        offset += length
-    return certificates
-
-
-def _read_scans_v1(archive: zipfile.ZipFile, by_index: list[Certificate]) -> list[Scan]:
-    scan_lines = archive.read("scans.jsonl").decode("utf-8").splitlines()
-    scans = []
-    for line in scan_lines:
-        record = json.loads(line)
-        observations = []
-        for ip, cert_idx, entity, handshake in record["observations"]:
-            observations.append(
-                Observation(
-                    ip=ip,
-                    fingerprint=by_index[cert_idx].fingerprint,
-                    entity=entity,
-                    handshake=(
-                        HandshakeRecord(*handshake) if handshake is not None else None
-                    ),
-                )
-            )
-        scans.append(
-            Scan(day=record["day"], source=record["source"], observations=observations)
-        )
-    return scans
-
-
-def _read_scans_v2(archive: zipfile.ZipFile, by_index: list[Certificate]) -> list[Scan]:
-    entities = json.loads(archive.read("entities.json"))
-    handshakes = [
-        HandshakeRecord(*record)
-        for record in json.loads(archive.read("handshakes.json"))
-    ]
-    scans = []
-    with archive.open("scans.jsonl") as member:
-        for line in member:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            observations = [
-                Observation(
-                    ip=ip,
-                    fingerprint=by_index[cert_idx].fingerprint,
-                    entity=entities[entity_id],
-                    handshake=(handshakes[hs_id] if hs_id >= 0 else None),
-                )
-                for ip, cert_idx, entity_id, hs_id in zip(
-                    record["ip"], record["cert"], record["entity"], record["hs"]
-                )
-            ]
-            scans.append(
-                Scan(
-                    day=record["day"],
-                    source=record["source"],
-                    observations=observations,
-                )
-            )
-    return scans
-
 
 def load_dataset(path: Union[str, pathlib.Path]) -> ScanDataset:
-    """Load a corpus written by :func:`save_dataset` (format 1, 2, or 3).
+    """Open a format 3 corpus container, mapped.
 
-    Format 3 containers open **mapped**: O(1) open, columns as
-    ``memoryview``s over an ``mmap``, certificates parsed lazily.
-    Format 1/2 ZIP archives take the legacy materializing path.
+    O(1): columns are ``memoryview``s over an ``mmap``, certificates
+    parse lazily.  Anything but an intact corpus container raises
+    :class:`~repro.io.encoding.SegmentError` here, at open.
     """
-    if is_segment_container(path):
-        from .backends import MappedBackend
+    return ScanDataset.from_backend(MappedBackend(path))
 
-        return ScanDataset.from_backend(MappedBackend(path))
-    with zipfile.ZipFile(path) as archive:
-        manifest = _read_zip_manifest(archive)
-        certificates = _unpack_certificates(archive.read("certificates.der"))
-        if manifest["format"] == 1:
-            scans = _read_scans_v1(archive, certificates)
-        else:
-            scans = _read_scans_v2(archive, certificates)
-    from .backends import ArchiveBackend
-
-    dataset = ScanDataset(
-        scans,
-        {cert.fingerprint: cert for cert in certificates},
-        backend=ArchiveBackend(path),
-    )
-    if len(dataset.certificates) != manifest["n_certificates"]:
-        raise ValueError("corpus corrupt: certificate count mismatch")
-    return dataset
-
-
-# --- piecemeal readers (the ArchiveBackend protocol surface) -------------------
 
 def read_manifest(path: Union[str, pathlib.Path]) -> dict:
-    """Parse and sanity-check a corpus' manifest without loading it.
-
-    O(1) for format 3 containers (trailer + manifest only); for ZIP
-    archives it reads just the manifest member.
-    """
-    if is_segment_container(path):
-        info = read_container_meta(path)
-        if info["format"] not in SUPPORTED_FORMATS:
-            raise ValueError(f"unsupported corpus format {info['format']!r}")
-        manifest = {"format": info["format"]}
-        manifest.update({
-            key: value for key, value in info["meta"].items() if key != "kind"
-        })
-        return manifest
-    with zipfile.ZipFile(path) as archive:
-        return _read_zip_manifest(archive)
-
-
-def read_certificates(path: Union[str, pathlib.Path]) -> dict[bytes, Certificate]:
-    """fingerprint → certificate for every certificate in the corpus."""
-    if is_segment_container(path):
-        from .backends import MappedBackend
-
-        return dict(MappedBackend(path).load_certificates())
-    with zipfile.ZipFile(path) as archive:
-        _read_zip_manifest(archive)
-        certificates = _unpack_certificates(archive.read("certificates.der"))
-    return {cert.fingerprint: cert for cert in certificates}
-
-
-def read_scans(path: Union[str, pathlib.Path]) -> list[Scan]:
-    """The corpus' scans (row view), in stored order."""
-    if is_segment_container(path):
-        from .backends import MappedBackend
-
-        return MappedBackend(path).load_scans()
-    with zipfile.ZipFile(path) as archive:
-        manifest = _read_zip_manifest(archive)
-        certificates = _unpack_certificates(archive.read("certificates.der"))
-        if manifest["format"] == 1:
-            return _read_scans_v1(archive, certificates)
-        return _read_scans_v2(archive, certificates)
+    """A corpus' format and manifest meta, O(1) (trailer + manifest)."""
+    reader = open_corpus(path)
+    manifest = {"format": reader.format}
+    manifest.update({
+        key: value for key, value in reader.meta.items() if key != "kind"
+    })
+    return manifest

@@ -14,16 +14,10 @@ interned into :class:`~repro.scanner.columns.ObservationColumns` (parallel
 query — ``appearances``, ``handshake_of``, ``entities_of``,
 ``ips_by_scan``, lifetimes — then costs O(that certificate's sightings)
 instead of O(total observations).
-
-Setting ``REPRO_DATASET_PARITY=1`` in the environment makes every dataset
-assert, at index-build time, that the columnar answers match a naive
-row-path recomputation (the legacy implementation); the test suite also
-exercises :meth:`verify_index_parity` directly on seeded worlds.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..internet.population import World
@@ -32,21 +26,13 @@ from .campaign import ScanCampaign
 from .columns import CertIntervals, ObservationColumns, ObservationIndex, RowDelta
 from .engine import ScanEngine
 from .records import Scan
-from .shards import columns_equal, merge_shards, scans_over_columns
+from .shards import merge_shards, scans_over_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..core.kernels import FeatureMatrix
     from ..io.backends import DatasetBackend
 
 __all__ = ["ScanDataset"]
-
-#: Environment knob: assert columnar/row parity on every index build.
-PARITY_ENV = "REPRO_DATASET_PARITY"
-
-#: Environment knob (shared with the linking kernels): replay the legacy
-#: row generation after every columnar collection and assert bitwise
-#: identity of rows, interning tables, and certificate-store order.
-LINK_PARITY_ENV = "REPRO_LINK_PARITY"
 
 
 class ScanDataset:
@@ -74,7 +60,6 @@ class ScanDataset:
         campaigns: Iterable[ScanCampaign],
         collect_handshakes: bool = False,
         workers: int = 1,
-        columnar: bool = True,
     ) -> "ScanDataset":
         """Run every campaign over the world and gather the corpus.
 
@@ -84,22 +69,12 @@ class ScanDataset:
         out over processes; results are identical to ``workers=1`` because
         each day's RNG is keyed by (seed, campaign, day).
 
-        The default path generates **directly into columnar day shards**
-        and merges them once, in (day, source) order — the dataset adopts
-        the merged :class:`ObservationColumns` immediately (no second
+        Scans generate **directly into columnar day shards** that merge
+        once, in (day, source) order — the dataset adopts the merged
+        :class:`ObservationColumns` immediately (no second
         columnarization pass) and the scans are lazy row views over it.
-        ``columnar=False`` selects the legacy row emitter, kept as the
-        parity fallback; ``REPRO_LINK_PARITY=1`` replays it after every
-        columnar collection and asserts the two corpora are bitwise
-        identical.
         """
         engine = ScanEngine(world, collect_handshakes=collect_handshakes)
-        campaigns = list(campaigns)
-        if not columnar:
-            scans: list[Scan] = []
-            for campaign in campaigns:
-                scans.extend(engine.run_campaign_rows(campaign))
-            return cls(scans, engine.certificate_store)
         shards = []
         for campaign in campaigns:
             shards.extend(engine.run_campaign_shards(campaign, workers=workers))
@@ -109,48 +84,7 @@ class ScanDataset:
             scans_over_columns(columns, scan_meta), engine.certificate_store
         )
         dataset._columns = columns
-        if os.environ.get(LINK_PARITY_ENV):
-            dataset._verify_generation_parity(world, campaigns, collect_handshakes)
         return dataset
-
-    def _verify_generation_parity(
-        self,
-        world: World,
-        campaigns: "list[ScanCampaign]",
-        collect_handshakes: bool,
-    ) -> None:
-        """Replay the legacy row generation and assert bitwise identity.
-
-        Uses the engine's quiet row emitter (no metrics, no spans) so the
-        parity replay never perturbs observability counters, then checks
-        every scan's rows, the merged interning tables, and the
-        certificate-store insertion order against the columnar result.
-        """
-        engine = ScanEngine(world, collect_handshakes=collect_handshakes)
-        row_scans: list[Scan] = []
-        for campaign in campaigns:
-            for day in campaign.scan_days:
-                row_scans.append(Scan(
-                    day=day,
-                    source=campaign.name,
-                    observations=engine.row_observations(campaign, day),
-                ))
-        row_scans.sort(key=lambda scan: (scan.day, scan.source))
-        assert [(scan.day, scan.source) for scan in row_scans] == [
-            (scan.day, scan.source) for scan in self.scans
-        ], "generation parity: scan schedule diverges"
-        for row_scan, lazy_scan in zip(row_scans, self.scans):
-            assert lazy_scan.observations == row_scan.observations, (
-                "generation parity: rows diverge in "
-                f"{row_scan.source}/day={row_scan.day}"
-            )
-        assert list(engine.certificate_store) == list(self.certificates), (
-            "generation parity: certificate store order diverges"
-        )
-        reference = ObservationColumns.from_scans(row_scans)
-        assert columns_equal(reference, self._columns), (
-            "generation parity: merged columns diverge"
-        )
 
     @classmethod
     def from_backend(cls, backend: "DatasetBackend") -> "ScanDataset":
@@ -205,8 +139,6 @@ class ScanDataset:
         """The per-certificate CSR index over the columns (built once)."""
         if self._observation_index is None:
             self._observation_index = ObservationIndex(self.columns)
-            if os.environ.get(PARITY_ENV):
-                self.verify_index_parity()
         return self._observation_index
 
     @property
@@ -417,39 +349,6 @@ class ScanDataset:
                     self.certificates,
                 )
         return self._corpus_digest
-
-    def verify_index_parity(self) -> None:
-        """Assert the columnar index agrees with the legacy row path.
-
-        Recomputes appearances, handshakes, and entity sets for every
-        certificate by walking the row scans (the pre-columnar
-        implementation) and compares; raises ``AssertionError`` on any
-        divergence.  O(corpus); meant for tests and the parity env knob.
-        """
-        index = self._observation_index or ObservationIndex(self.columns)
-        row_appearances: dict[bytes, list[tuple[int, int]]] = {}
-        row_handshakes: dict[bytes, object] = {}
-        row_entities: dict[bytes, set[str]] = {}
-        for scan_idx, scan in enumerate(self.scans):
-            for obs in scan.observations:
-                row_appearances.setdefault(obs.fingerprint, []).append(
-                    (scan_idx, obs.ip)
-                )
-                if obs.handshake is not None and obs.fingerprint not in row_handshakes:
-                    row_handshakes[obs.fingerprint] = obs.handshake
-                if obs.entity:
-                    row_entities.setdefault(obs.fingerprint, set()).add(obs.entity)
-        observed = set(row_appearances)
-        for fingerprint in observed | set(self.certificates):
-            assert index.appearances(fingerprint) == row_appearances.get(
-                fingerprint, []
-            ), f"appearance mismatch: {fingerprint.hex()[:12]}"
-            assert index.handshake_of(fingerprint) == row_handshakes.get(
-                fingerprint
-            ), f"handshake mismatch: {fingerprint.hex()[:12]}"
-            assert index.entities_of(fingerprint) == row_entities.get(
-                fingerprint, set()
-            ), f"entity mismatch: {fingerprint.hex()[:12]}"
 
     def handshake_of(self, fingerprint: bytes) -> Optional[object]:
         """A handshake record observed with the certificate, if collected."""

@@ -23,16 +23,13 @@ interning (no row tuples, no Python key-function sort — day order comes
 from a stable argsort on packed byte keys in
 :func:`~repro.scanner.shards.finalize_shard`), and ``run_campaign`` ships
 those compact shards home from workers instead of pickled row lists.  The
-legacy row emitter survives as :meth:`run_rows` /
-:meth:`run_campaign_rows`: it is the parity twin (``REPRO_LINK_PARITY=1``
-re-runs it and asserts bitwise-identical output) and the baseline the
-generation benchmark measures against.  Both paths consume the per-day RNG
-in exactly the same order, so their corpora are bitwise identical.
+pre-columnar row emitter lives on in the test suite (``tests/oracles/``)
+as the reference these shards are held to bitwise: both consume the
+per-day RNG in exactly the same order.
 """
 
 from __future__ import annotations
 
-import random
 from array import array
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +42,7 @@ from ..tls.handshake import HandshakeRecord, negotiate
 from ..tls.profiles import WEBSITE_TLS_PROFILE, tls_profile_for
 from ..x509.certificate import Certificate
 from .campaign import ScanCampaign
-from .records import Observation, Scan
+from .records import Scan
 from .shards import ScanShard, finalize_shard, shard_scan
 
 __all__ = ["ScanEngine", "SCAN_DURATION_HOURS"]
@@ -181,58 +178,7 @@ class ScanEngine:
                     self._store.setdefault(fingerprint, cert)
         return shards
 
-    # --- legacy row generation (parity twin and benchmark baseline) -------------
-
-    def run_rows(self, campaign: ScanCampaign, day: int) -> Scan:
-        """One scan through the legacy row emitter (list of namedtuples)."""
-        with obs.span(f"scan_rows/day={day}", campaign=campaign.name) as span:
-            observations = self.row_observations(campaign, day)
-            obs.inc("scanner.scans_executed")
-            obs.inc("scanner.probes_attempted", self._probes_attempted)
-            obs.inc("scanner.probes_blacklisted", self._probes_blacklisted)
-            obs.inc("scanner.handshakes_attempted", self._handshakes_attempted)
-            obs.inc("scanner.observations_recorded", len(observations))
-            span.set(observations=len(observations))
-            return Scan(day=day, source=campaign.name, observations=observations)
-
-    def run_campaign_rows(self, campaign: ScanCampaign) -> list[Scan]:
-        """The campaign's schedule through the legacy row emitter (serial)."""
-        return [self.run_rows(campaign, day) for day in campaign.scan_days]
-
-    def row_observations(
-        self, campaign: ScanCampaign, day: int
-    ) -> list[Observation]:
-        """Sorted row observations of one scan — no metrics, no spans.
-
-        This is the pre-columnar generation loop, kept verbatim as the
-        parity reference: ``REPRO_LINK_PARITY=1`` replays it after every
-        columnar collection and asserts the outputs are bitwise
-        identical.
-        """
-        rng = stable_rng(self._world.config.seed, "scan", campaign.name, day)
-        observations: list[Observation] = []
-        self._probes_attempted = 0
-        self._probes_blacklisted = 0
-        self._handshakes_attempted = 0
-        self._scan_devices_rows(campaign, day, rng, observations)
-        self._scan_websites_rows(campaign, day, rng, observations)
-        observations.sort(key=lambda obs: (obs.ip, obs.fingerprint))
-        return observations
-
     # --- internals ------------------------------------------------------------
-
-    def _admit(
-        self, campaign: ScanCampaign, rng: random.Random, ip: int
-    ) -> bool:
-        """Blacklist and random-miss filtering for one address."""
-        self._probes_attempted += 1
-        if campaign.is_blacklisted(ip):
-            self._probes_blacklisted += 1
-            return False
-        if rng.random() < campaign.random_miss_rate:
-            return False
-        self._handshakes_attempted += 1
-        return True
 
     def _blacklist_intervals(self, campaign: ScanCampaign) -> tuple:
         """The campaign's blacklist as merged sorted (start, end) arrays.
@@ -530,63 +476,6 @@ class ScanEngine:
         self._handshakes_attempted += admitted
         return cursor
 
-    def _scan_devices_rows(self, campaign, day, rng, observations) -> None:
-        world = self._world
-        for device in world.devices:
-            if not device.is_active(day):
-                continue
-            flip_hour = world.device_reassignment_hour(device, day)
-            ip_start = world.device_ip(device, day, hour=0.0)
-            entity = f"device:{device.device_id}"
-            handshake = self._device_handshake(device)
-
-            if flip_hour < 0.0:
-                # Address stable all day: one probe, one sighting.
-                probe = rng.random() * self._duration
-                if self._admit(campaign, rng, ip_start):
-                    cert = device.certificate_at(day, probe)
-                    observations.append(
-                        Observation(ip_start, self._intern(cert), entity, handshake)
-                    )
-                continue
-
-            ip_end = world.device_ip(device, day, hour=23.99)
-            probe_old = rng.random() * self._duration
-            probe_new = rng.random() * self._duration
-            if probe_old < flip_hour and self._admit(campaign, rng, ip_start):
-                cert = device.certificate_at(day, probe_old)
-                observations.append(
-                    Observation(ip_start, self._intern(cert), entity, handshake)
-                )
-            if probe_new >= flip_hour and self._admit(campaign, rng, ip_end):
-                cert = device.certificate_at(day, probe_new)
-                observations.append(
-                    Observation(ip_end, self._intern(cert), entity, handshake)
-                )
-
-    def _scan_websites_rows(self, campaign, day, rng, observations) -> None:
-        for website in self._world.websites:
-            if not website.is_active(day):
-                continue
-            chain = website.chain_on(day)
-            handshake = self._website_handshake()
-            for ip in website.host_ips:
-                if not self._admit(campaign, rng, ip):
-                    continue
-                leaf, intermediate = chain
-                observations.append(
-                    Observation(
-                        ip, self._intern(leaf),
-                        f"website:{website.website_id}", handshake,
-                    )
-                )
-                observations.append(
-                    Observation(
-                        ip, self._intern(intermediate),
-                        f"ca:{intermediate.subject_cn}", handshake,
-                    )
-                )
-
     @property
     def certificate_store(self) -> dict[bytes, Certificate]:
         """Canonical Certificate for every fingerprint emitted so far.
@@ -597,12 +486,6 @@ class ScanEngine:
         shard fingerprints to DER through this mapping.
         """
         return self._store
-
-    def _intern(self, cert: Certificate) -> bytes:
-        fingerprint = cert.fingerprint
-        if fingerprint not in self._store:
-            self._store[fingerprint] = cert
-        return fingerprint
 
 
 # --- process-pool plumbing -----------------------------------------------------

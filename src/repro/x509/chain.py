@@ -183,8 +183,8 @@ class ChainVerifier:
         when provably independent of the current search path and depth
         budget — any path-entangled answer falls back to the exact naive
         DFS — so the result is identical to :meth:`_build_chain` in every
-        case (the ``REPRO_LINK_PARITY`` twin re-verifies with
-        ``memoize=False`` and asserts equality).
+        case (the parity tests re-verify with ``memoize=False`` and assert
+        equality).
         """
         if not self._memoize:
             return self._build_chain(cert)

@@ -78,3 +78,55 @@ def make_dataset(scan_specs):
             observations.append(Observation(ip=ip, fingerprint=cert.fingerprint))
         scans.append(Scan(day=day, source=source, observations=observations))
     return ScanDataset(scans, certificates)
+
+
+def random_corpus(seed=7, n_certs=36, n_scans=8, n_unobserved=3):
+    """A randomized corpus exercising every kernel edge at once.
+
+    Deliberate collisions (shared keypairs, repeated CNs and Not Before
+    stamps), IPv4-literal Common Names, SAN/CRL carriers, multi-homed
+    certificates (up to four addresses in one scan), shared /24s, and a
+    few certificates present in the table but never observed.
+    """
+    rng = random.Random(seed)
+    keypairs = [make_keypair(s) for s in range(1, 7)]
+    cns = ["WD2GO 7", "fritz.box", "192.168.1.1", "10.0.0.138", "box-%d"]
+    certs = []
+    for i in range(n_certs):
+        cn = rng.choice(cns)
+        if cn == "box-%d":
+            cn = f"box-{rng.randrange(6)}"
+        certs.append(
+            make_cert(
+                cn=cn,
+                keypair=rng.choice(keypairs),
+                nb=DAY0 - rng.randrange(60),
+                nb_secs=rng.choice([None, 1234, 4321]),
+                sans=("a.example", "b.example") if rng.random() < 0.3 else (),
+                crl=("http://crl.example/x",) if rng.random() < 0.2 else (),
+            )
+        )
+    scans = []
+    certificates = {}
+    for day_index in range(n_scans):
+        observations = []
+        for cert in certs:
+            if rng.random() < 0.6:
+                continue
+            certificates[cert.fingerprint] = cert
+            base_ip = 0x0A000000 + rng.randrange(4) * 256 + rng.randrange(40)
+            for extra in range(rng.choice([1, 1, 1, 2, 4])):
+                observations.append(
+                    Observation(ip=base_ip + extra * 7, fingerprint=cert.fingerprint)
+                )
+        scans.append(Scan(day=DAY0 + 7 * day_index, source="test", observations=observations))
+    for i in range(n_unobserved):
+        # Shares its key and Common Name with observed certificates.
+        ghost = make_cert(cn=cns[i % 2], keypair=keypairs[i], nb=DAY0 - 200 - i)
+        certificates[ghost.fingerprint] = ghost
+    return ScanDataset(scans, certificates)
+
+
+def random_as_of(ip, day):
+    """A deterministic, lumpy (ip, day) → ASN mapping."""
+    return (ip >> 10) % 5 + (1 if day % 14 == 0 else 0)

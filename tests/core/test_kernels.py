@@ -1,91 +1,45 @@
-"""Kernel-vs-naive parity for the §6 columnar linking kernels.
+"""Kernel-vs-oracle parity for the §6 columnar linking kernels.
 
 Every kernel (FeatureMatrix grouping/census, CertIntervals dedup and
 lifetimes, fused consistency) must be bitwise-identical to the pre-kernel
-row path.  These tests build a randomized corpus — shared keys, colliding
-Common Names and Not Before stamps, IP-literal CNs, multi-homed and
-zero-observation certificates — and compare both paths explicitly, plus
-run the pipeline end-to-end under ``REPRO_LINK_PARITY=1`` so the in-tree
-cross-checks fire.
+row path kept in ``tests/oracles``.  These tests build a randomized
+corpus — shared keys, colliding Common Names and Not Before stamps,
+IP-literal CNs, multi-homed and zero-observation certificates — and
+compare both paths explicitly over its full certificate population.
 """
-
-import random
 
 import pytest
 
 from repro.core.consistency import evaluate_link_result, group_consistency
-from repro.core.dedup import _naive_classify, classify_unique_certificates
+from repro.core.dedup import classify_unique_certificates
 from repro.core.features import (
     Feature,
-    _naive_absence_rates,
-    _naive_non_uniqueness_census,
     absence_rates,
     extract,
     linkable_value,
     non_uniqueness_census,
 )
 from repro.core.kernels import fused_group_consistency
-from repro.core.linking import _naive_group_by_feature, group_by_feature, link_on_feature
-from repro.core.pipeline import (
-    _naive_lifetime_improvement,
-    iterative_link,
-    lifetime_improvement,
+from repro.core.linking import group_by_feature, link_on_feature
+from repro.core.pipeline import iterative_link, lifetime_improvement
+
+from ..oracles.kernels import (
+    naive_absence_rates,
+    naive_classify,
+    naive_group_by_feature,
+    naive_iterative_link,
+    naive_lifetime_improvement,
+    naive_link_on_feature,
+    naive_non_uniqueness_census,
 )
-from repro.scanner.records import Observation, Scan
-from repro.scanner.dataset import ScanDataset
-
-from .helpers import DAY0, make_cert, make_dataset, make_keypair
-
-
-def random_corpus(seed=7, n_certs=36, n_scans=8, n_unobserved=3):
-    """A randomized corpus exercising every kernel edge at once.
-
-    Deliberate collisions (shared keypairs, repeated CNs and Not Before
-    stamps), IPv4-literal Common Names, SAN/CRL carriers, multi-homed
-    certificates (up to four addresses in one scan), shared /24s, and a
-    few certificates present in the table but never observed.
-    """
-    rng = random.Random(seed)
-    keypairs = [make_keypair(s) for s in range(1, 7)]
-    cns = ["WD2GO 7", "fritz.box", "192.168.1.1", "10.0.0.138", "box-%d"]
-    certs = []
-    for i in range(n_certs):
-        cn = rng.choice(cns)
-        if cn == "box-%d":
-            cn = f"box-{rng.randrange(6)}"
-        certs.append(
-            make_cert(
-                cn=cn,
-                keypair=rng.choice(keypairs),
-                nb=DAY0 - rng.randrange(60),
-                nb_secs=rng.choice([None, 1234, 4321]),
-                sans=("a.example", "b.example") if rng.random() < 0.3 else (),
-                crl=("http://crl.example/x",) if rng.random() < 0.2 else (),
-            )
-        )
-    scans = []
-    certificates = {}
-    for day_index in range(n_scans):
-        observations = []
-        for cert in certs:
-            if rng.random() < 0.6:
-                continue
-            certificates[cert.fingerprint] = cert
-            base_ip = 0x0A000000 + rng.randrange(4) * 256 + rng.randrange(40)
-            for extra in range(rng.choice([1, 1, 1, 2, 4])):
-                observations.append(
-                    Observation(ip=base_ip + extra * 7, fingerprint=cert.fingerprint)
-                )
-        scans.append(Scan(day=DAY0 + 7 * day_index, source="test", observations=observations))
-    for i in range(n_unobserved):
-        ghost = make_cert(cn=f"never-seen-{i}", key_seed=100 + i)
-        certificates[ghost.fingerprint] = ghost
-    return ScanDataset(scans, certificates)
-
-
-def random_as_of(ip, day):
-    """A deterministic, lumpy (ip, day) → ASN mapping."""
-    return (ip >> 10) % 5 + (1 if day % 14 == 0 else 0)
+from .helpers import (
+    DAY0,
+    make_cert,
+    make_dataset,
+    make_keypair,
+    random_as_of,
+    random_corpus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,9 +77,9 @@ class TestFeatureMatrix:
 
     def test_census_and_absence_match_naive(self, corpus, population):
         assert non_uniqueness_census(corpus, population) == \
-            _naive_non_uniqueness_census(corpus, population)
+            naive_non_uniqueness_census(corpus, population)
         assert absence_rates(corpus, population) == \
-            _naive_absence_rates(corpus, population)
+            naive_absence_rates(corpus, population)
 
 
 class TestIntervalKernel:
@@ -141,11 +95,10 @@ class TestIntervalKernel:
             assert spans.max_ips[cert_id] == max(sizes)
             assert spans.min_ips[cert_id] == min(sizes)
 
-    def test_dedup_matches_naive_at_every_threshold(self, corpus):
-        observed = sorted(corpus.columns.fingerprint_ids)
+    def test_dedup_matches_naive_at_every_threshold(self, corpus, population):
         for threshold in (1, 2, 3, 4):
-            kernel = classify_unique_certificates(corpus, observed, threshold)
-            naive = _naive_classify(corpus, observed, threshold)
+            kernel = classify_unique_certificates(corpus, population, threshold)
+            naive = naive_classify(corpus, population, threshold)
             assert kernel == naive
 
     def test_zero_observation_certificate_is_unique(self, corpus, population):
@@ -171,11 +124,17 @@ class TestIntervalKernel:
 class TestLinkingKernels:
     @pytest.mark.parametrize("feature", list(Feature), ids=lambda f: f.name)
     def test_grouping_matches_naive(self, corpus, population, feature):
-        observed = [fp for fp in population if fp in corpus.columns.fingerprint_ids]
-        kernel = group_by_feature(corpus, observed, feature)
-        naive = _naive_group_by_feature(corpus, observed, feature)
+        kernel = group_by_feature(corpus, population, feature)
+        naive = naive_group_by_feature(corpus, population, feature)
         assert kernel == naive
         assert list(kernel) == list(naive)  # same first-appearance order
+
+    @pytest.mark.parametrize("feature", list(Feature), ids=lambda f: f.name)
+    def test_linking_matches_naive(self, corpus, population, feature):
+        # The full population holds never-observed certificates that
+        # share key and name values with observed ones.
+        assert link_on_feature(corpus, population, feature) == \
+            naive_link_on_feature(corpus, population, feature)
 
     @pytest.mark.parametrize("feature", list(Feature), ids=lambda f: f.name)
     def test_consistency_matches_reference(self, corpus, feature):
@@ -202,17 +161,53 @@ class TestLinkingKernels:
         assert 0.0 <= ip_level <= s24 <= s16 <= 1.0
 
 
-class TestEndToEndParity:
-    def test_pipeline_under_parity_env(self, corpus, monkeypatch):
-        monkeypatch.setenv("REPRO_LINK_PARITY", "1")
-        observed = sorted(corpus.columns.fingerprint_ids)
-        dedup = classify_unique_certificates(corpus, observed)
-        pipeline = iterative_link(corpus, sorted(dedup.unique), random_as_of)
-        improvement = lifetime_improvement(corpus, pipeline, sorted(dedup.unique))
-        naive = _naive_lifetime_improvement(
-            corpus, pipeline, sorted(dedup.unique)
+class TestNeverObservedCertificates:
+    """A certificate only in the map has no lifetime and links to nothing."""
+
+    def test_shared_key_with_a_never_observed_certificate(self):
+        keypair = make_keypair(42)
+        seen = make_cert(cn="seen", keypair=keypair)
+        ghost = make_cert(cn="ghost", keypair=keypair)
+        dataset = make_dataset(
+            [(DAY0, [(100, seen)]), (DAY0 + 7, [(100, seen)])]
         )
-        assert improvement == naive
+        dataset.certificates[ghost.fingerprint] = ghost
+        population = [seen.fingerprint, ghost.fingerprint]
+        assert classify_unique_certificates(dataset, population).unique == \
+            set(population)
+        result = link_on_feature(dataset, population, Feature.PUBLIC_KEY)
+        assert result.groups == []
+        assert result.singleton_values == 1
+        assert result == naive_link_on_feature(
+            dataset, population, Feature.PUBLIC_KEY
+        )
+        pipeline = iterative_link(
+            dataset, population, random_as_of,
+            field_order=[Feature.PUBLIC_KEY],
+        )
+        assert pipeline.groups == []
+        improvement = lifetime_improvement(dataset, pipeline, population)
+        assert improvement == naive_lifetime_improvement(
+            dataset, pipeline, population
+        )
+        assert improvement.mean_lifetime_before == 8  # the ghost counts nowhere
+
+
+class TestEndToEndParity:
+    @pytest.mark.parametrize(
+        "field_order", [None, list(Feature)], ids=["computed", "every-field"]
+    )
+    def test_pipeline_matches_oracles(self, corpus, population, field_order):
+        dedup = classify_unique_certificates(corpus, population)
+        unique = sorted(dedup.unique)
+        pipeline = iterative_link(
+            corpus, unique, random_as_of, field_order=field_order
+        )
+        assert pipeline.groups == naive_iterative_link(
+            corpus, unique, pipeline.field_order
+        )
+        assert lifetime_improvement(corpus, pipeline, unique) == \
+            naive_lifetime_improvement(corpus, pipeline, unique)
 
     def test_matrix_survives_pickling(self, corpus):
         # Workers receive the kernels with the pickled dataset.

@@ -14,6 +14,8 @@ from repro.scanner.records import Observation, Scan
 from repro.study import Study
 from repro.x509.truststore import TrustStore
 
+from ..oracles.kernels import naive_classify, naive_validation_results
+
 
 def fresh_dataset(tiny_synthetic) -> ScanDataset:
     """A new ScanDataset over the shared tiny corpus (nothing built)."""
@@ -209,17 +211,18 @@ class TestShardedBuilds:
 
 
 class TestParityAndRemap:
-    def test_warm_cache_under_link_parity(
-        self, tiny_synthetic, tmp_path, monkeypatch
-    ):
+    def test_warm_cache_matches_oracles(self, tiny_synthetic, tmp_path):
         cache = ArtifactCache(tmp_path)
         make_study(tiny_synthetic, fresh_dataset(tiny_synthetic), cache).dedup()
-        monkeypatch.setenv("REPRO_LINK_PARITY", "1")
         warm = make_study(tiny_synthetic, fresh_dataset(tiny_synthetic), cache)
-        # The naive twins inside dedup/validation assert against the
-        # loaded artifacts; reaching here means parity held.
-        warm.dedup()
+        # Verdicts and kernels come from the artifact; the oracles
+        # recompute both from scratch.
+        dedup = warm.dedup()
         assert artifact_counters(warm) == {"artifacts.hit": 2}
+        assert warm.validation().results == naive_validation_results(
+            warm.dataset, tiny_synthetic.world.trust_store
+        )
+        assert dedup == naive_classify(warm.dataset, warm.invalid)
 
     def test_matrix_rows_remap_to_loader_cert_order(
         self, tiny_synthetic, tmp_path

@@ -4,13 +4,18 @@ import pytest
 
 from repro.io import save_dataset
 from repro.io.backends import (
-    ArchiveBackend,
     DatasetBackend,
     InMemoryBackend,
     LazyCertificates,
     MappedBackend,
 )
-from repro.io.encoding import FP_HASH_SEGMENT, SegmentReader, SegmentWriter
+from repro.io.encoding import (
+    FP_HASH_SEGMENT,
+    SegmentError,
+    SegmentReader,
+    SegmentWriter,
+)
+from repro.io.store import load_dataset, read_manifest
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry
 from repro.scanner.dataset import ScanDataset
@@ -35,7 +40,7 @@ class TestProtocol:
         path = tmp_path / "c.rpz"
         save_dataset(dataset, path)
         assert isinstance(InMemoryBackend.from_dataset(dataset), DatasetBackend)
-        assert isinstance(ArchiveBackend(path), DatasetBackend)
+        assert isinstance(MappedBackend(path), DatasetBackend)
 
 
 class TestInMemoryBackend:
@@ -73,12 +78,12 @@ class TestInMemoryBackend:
         assert direct.valid == routed.valid
 
 
-class TestArchiveBackend:
+class TestMappedBackend:
     def test_round_trip(self, tmp_path):
         dataset = corpus()
         path = tmp_path / "c.rpz"
         save_dataset(dataset, path)
-        rebuilt = ScanDataset.from_backend(ArchiveBackend(path))
+        rebuilt = ScanDataset.from_backend(MappedBackend(path))
         for left, right in zip(dataset.scans, rebuilt.scans):
             assert left.observations == right.observations
         assert set(rebuilt.certificates) == set(dataset.certificates)
@@ -87,7 +92,7 @@ class TestArchiveBackend:
         dataset = corpus()
         path = tmp_path / "c.rpz"
         save_dataset(dataset, path)
-        info = ArchiveBackend(path).describe()
+        info = MappedBackend(path).describe()
         assert info["format"] == 3
         assert info["n_observations"] == 3
 
@@ -95,7 +100,7 @@ class TestArchiveBackend:
         dataset = corpus()
         path = tmp_path / "c.rpz"
         save_dataset(dataset, path)
-        backend = ArchiveBackend(path)
+        backend = MappedBackend(path)
         assert set(backend.load_certificates()) == set(dataset.certificates)
         assert len(backend.load_scans()) == 2
 
@@ -144,7 +149,6 @@ class TestLazyCertificates:
         for fingerprint, expected in dataset.certificates.items():
             assert certs[fingerprint].subject_cn == expected.subject_cn
         assert certs._hash is not None
-        assert certs._sorted_rows is None
 
     def test_parse_memo_counts_actual_parses_only(self, mapped, metrics):
         dataset, path = mapped
@@ -175,17 +179,13 @@ class TestLazyCertificates:
         assert b"\x00" * 32 not in certs
         assert "not-bytes" not in certs
 
-    def test_containers_without_the_segment_fall_back(
+    def test_containers_without_the_segment_fail_at_open(
         self, mapped, tmp_path
     ):
-        dataset, path = mapped
+        _, path = mapped
         legacy = tmp_path / "legacy.rpz"
         _strip_hash_segment(path, legacy)
         assert FP_HASH_SEGMENT not in SegmentReader(legacy)
-        certs = MappedBackend(legacy).load_certificates()
-        for fingerprint, expected in dataset.certificates.items():
-            assert certs[fingerprint].subject_cn == expected.subject_cn
-        assert certs._hash is None
-        assert certs._sorted_rows is not None
-        with pytest.raises(KeyError):
-            certs[b"\xff" * 32]
+        for open_ in (MappedBackend, load_dataset, read_manifest):
+            with pytest.raises(SegmentError, match=FP_HASH_SEGMENT):
+                open_(legacy)

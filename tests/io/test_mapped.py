@@ -2,21 +2,14 @@
 
 The acceptance surface of the format 3 substrate: a mapped dataset must
 be observationally identical to a materialized one, stay lazy until
-queried, ship to workers by path, and load v2 archives through the
-materializing converter with identical results.
+queried, and ship to workers by path.
 """
 
 import pickle
 
 import pytest
 
-from repro.io import (
-    ArchiveBackend,
-    MappedBackend,
-    load_dataset,
-    save_dataset,
-    save_dataset_v2,
-)
+from repro.io import MappedBackend, load_dataset, save_dataset
 from repro.io.backends import LazyCertificates
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry
@@ -27,13 +20,11 @@ from repro.study import Study
 
 @pytest.fixture(scope="module")
 def corpus_paths(tmp_path_factory, tiny_synthetic):
-    """The tiny corpus saved as a native v3 container and a legacy v2 zip."""
+    """The tiny corpus saved as a format 3 container, plus its digest."""
     directory = tmp_path_factory.mktemp("mapped")
     v3 = directory / "native.rpz"
-    v2 = directory / "legacy.rpz"
     digest = save_dataset(tiny_synthetic.scans, v3)
-    save_dataset_v2(tiny_synthetic.scans, v2)
-    return v3, v2, digest
+    return v3, digest
 
 
 @pytest.fixture()
@@ -51,7 +42,7 @@ class TestMappedParity:
     def test_mapped_columns_bitwise_equal_materialized(
         self, corpus_paths, tiny_synthetic
     ):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         mapped = load_dataset(v3)
         assert mapped.columns.is_mapped
         assert columns_equal(mapped.columns, tiny_synthetic.scans.columns)
@@ -61,7 +52,7 @@ class TestMappedParity:
         assert columns_equal(mapped.columns, tiny_synthetic.scans.columns)
 
     def test_mapped_rows_equal_original(self, corpus_paths, tiny_synthetic):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         mapped = load_dataset(v3)
         for left, right in zip(mapped.scans, tiny_synthetic.scans.scans):
             assert left.day == right.day
@@ -69,26 +60,30 @@ class TestMappedParity:
             assert list(left.observations) == list(right.observations)
 
     def test_corpus_digest_matches_writer(self, corpus_paths):
-        v3, _, digest = corpus_paths
+        v3, digest = corpus_paths
         assert load_dataset(v3).corpus_digest() == digest
 
-    def test_v2_converted_equals_native(
+    def test_materialized_resave_equals_native(
         self, corpus_paths, tmp_path, tiny_synthetic
     ):
-        v3, v2, digest = corpus_paths
-        # v2 loads through the materializing converter path...
-        converted = load_dataset(v2)
-        assert not converted.columns.is_mapped
-        assert columns_equal(converted.columns, tiny_synthetic.scans.columns)
-        # ...and re-saving it reproduces the native container bitwise.
-        upgraded = tmp_path / "upgraded.rpz"
-        assert save_dataset(converted, upgraded) == digest
-        assert upgraded.read_bytes() == v3.read_bytes()
+        v3, digest = corpus_paths
+        # The materializing path copies every column and certificate
+        # out of the map...
+        materialized = load_dataset(v3).materialize()
+        assert not materialized.columns.is_mapped
+        assert isinstance(materialized.certificates, dict)
+        assert columns_equal(
+            materialized.columns, tiny_synthetic.scans.columns
+        )
+        # ...and re-saving it reproduces the container bitwise.
+        resaved = tmp_path / "resaved.rpz"
+        assert save_dataset(materialized, resaved) == digest
+        assert resaved.read_bytes() == v3.read_bytes()
 
 
 class TestLaziness:
     def test_open_is_lazy_and_counted(self, corpus_paths, metrics):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         dataset = load_dataset(v3)
         assert metrics.counters.get("io.mmap_open_total", 0) == 1
         # Opening copies out only the small interning/meta tables — the
@@ -98,7 +93,7 @@ class TestLaziness:
         assert dataset.n_observations > 0
 
     def test_materialize_counts_bytes(self, corpus_paths, metrics):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         dataset = load_dataset(v3)
         baseline = metrics.counters.get("io.bytes_materialized", 0)
         dataset.columns.materialize()
@@ -107,7 +102,7 @@ class TestLaziness:
         assert copied >= 5 * 4 * dataset.n_observations
 
     def test_column_reads_do_not_materialize(self, corpus_paths, metrics):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         dataset = load_dataset(v3)
         baseline = metrics.counters.get("io.bytes_materialized", 0)
         ips = dataset.columns.ip
@@ -117,7 +112,7 @@ class TestLaziness:
 
 class TestLazyCertificates:
     def test_mapping_protocol(self, corpus_paths, tiny_synthetic):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         dataset = load_dataset(v3)
         certs = dataset.certificates
         assert isinstance(certs, LazyCertificates)
@@ -133,7 +128,7 @@ class TestLazyCertificates:
     def test_on_demand_parse_matches_original(
         self, corpus_paths, tiny_synthetic
     ):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         certs = load_dataset(v3).certificates
         for fingerprint, original in tiny_synthetic.scans.certificates.items():
             parsed = certs[fingerprint]
@@ -143,7 +138,7 @@ class TestLazyCertificates:
 
 class TestPickling:
     def test_mapped_dataset_pickles_by_path(self, corpus_paths):
-        v3, _, digest = corpus_paths
+        v3, digest = corpus_paths
         dataset = load_dataset(v3)
         blob = pickle.dumps(dataset)
         # The columns travel as a path, not by value: the pickle must be
@@ -155,7 +150,7 @@ class TestPickling:
         assert clone.corpus_digest() == digest
 
     def test_pickled_clone_ships_built_kernels(self, corpus_paths):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         dataset = load_dataset(v3)
         fingerprint = next(iter(dataset.certificates))
         appearances = dataset.appearances(fingerprint)  # builds the index
@@ -165,7 +160,7 @@ class TestPickling:
 
 class TestWorkerFanOut:
     def test_serial_vs_workers_identical(self, corpus_paths, tiny_synthetic):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         world = tiny_synthetic.world
 
         def build(workers):
@@ -196,9 +191,8 @@ class TestWorkerFanOut:
 
 class TestBackendDispatch:
     def test_load_dataset_picks_mapped_backend(self, corpus_paths):
-        v3, v2, _ = corpus_paths
+        v3, _ = corpus_paths
         assert isinstance(load_dataset(v3).backend, MappedBackend)
-        assert isinstance(load_dataset(v2).backend, ArchiveBackend)
 
 
 class TestMutationGuards:
@@ -207,7 +201,7 @@ class TestMutationGuards:
     def test_append_on_mapped_columns_raises(self, corpus_paths):
         from repro.scanner.records import Observation
 
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         columns = load_dataset(v3).columns
         observation = Observation(
             ip=1, fingerprint=b"\xaa" * 32, entity="site:x", handshake=None
@@ -216,7 +210,7 @@ class TestMutationGuards:
             columns.append(0, observation, entity_ids={}, handshake_ids={})
 
     def test_intern_new_fingerprint_on_mapped_table_raises(self, corpus_paths):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         columns = load_dataset(v3).columns
         # Known fingerprints still resolve (read path stays open)...
         known = columns.fingerprints[0]
@@ -226,7 +220,7 @@ class TestMutationGuards:
             columns.intern_fingerprint(b"\xbb" * 32)
 
     def test_materialize_reopens_mutation(self, corpus_paths):
-        v3, _, _ = corpus_paths
+        v3, _ = corpus_paths
         columns = load_dataset(v3).columns.materialize()
         before = len(columns.fingerprints)
         assert columns.intern_fingerprint(b"\xbb" * 32) == before

@@ -5,13 +5,12 @@ import zipfile
 
 import pytest
 
-from repro.io.encoding import SegmentReader
+from repro.io.encoding import SegmentError, SegmentReader, SegmentWriter
 from repro.io.store import (
     FORMAT_VERSION,
     load_dataset,
     read_manifest,
     save_dataset,
-    save_dataset_v2,
 )
 from repro.scanner.dataset import ScanDataset
 from repro.scanner.records import Observation, Scan
@@ -113,8 +112,8 @@ class TestFormat:
         dataset = small_dataset()
         path = tmp_path / "der.rpz"
         save_dataset(dataset, path)
-        # The certificates segment keeps the length-prefixed DER record
-        # encoding of formats 1/2: parseable without this library.
+        # The certificates segment holds length-prefixed DER records:
+        # parseable without this library.
         blob = bytes(SegmentReader(path).raw("certificates.der"))
         (first_len,) = struct.unpack_from(">I", blob, 0)
         cert = Certificate.from_der(blob[4:4 + first_len])
@@ -130,12 +129,20 @@ class TestFormat:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "bad.rpz"
+        SegmentWriter(path, meta={"kind": "corpus"}, format=99).close()
+        with pytest.raises(SegmentError, match="format=99"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("format", [1, 2])
+    def test_retired_zip_formats_rejected_at_open(self, tmp_path, format):
+        path = tmp_path / f"v{format}.rpz"
         with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr("manifest.json", json.dumps({"format": 99}))
+            archive.writestr("manifest.json", json.dumps({"format": format}))
             archive.writestr("certificates.der", b"")
             archive.writestr("scans.jsonl", "")
-        with pytest.raises(ValueError):
-            load_dataset(path)
+        for open_ in (load_dataset, read_manifest):
+            with pytest.raises(SegmentError, match="repro generate"):
+                open_(path)
 
     def test_overwrite(self, tmp_path):
         dataset = small_dataset()
@@ -162,127 +169,27 @@ class TestFormat:
         assert cert.fingerprint in loaded.certificates
         assert loaded.appearances(cert.fingerprint) == []
 
+    @staticmethod
+    def _replace_manifest(path, text):
+        """Overwrite the container's manifest bytes in place."""
+        blob = bytearray(path.read_bytes())
+        offset, length = (
+            int.from_bytes(blob[-24 + 8 * index:-16 + 8 * index], "little")
+            for index in range(2)
+        )
+        blob[offset:offset + length] = text.ljust(length).encode()
+        path.write_bytes(bytes(blob))
+
     def test_corrupt_manifest_rejected(self, tmp_path):
         path = tmp_path / "corrupt.rpz"
-        with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr("manifest.json", "{not json at all")
-            archive.writestr("certificates.der", b"")
-            archive.writestr("scans.jsonl", "")
-        with pytest.raises(ValueError, match="manifest"):
+        save_dataset(small_dataset(), path)
+        self._replace_manifest(path, "{not json at all")
+        with pytest.raises(SegmentError, match="manifest"):
             load_dataset(path)
 
     def test_non_object_manifest_rejected(self, tmp_path):
         path = tmp_path / "list.rpz"
-        with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr("manifest.json", "[1, 2, 3]")
-        with pytest.raises(ValueError, match="manifest"):
+        save_dataset(small_dataset(), path)
+        self._replace_manifest(path, "[1, 2, 3]")
+        with pytest.raises(SegmentError, match="manifest"):
             load_dataset(path)
-
-
-def save_dataset_v1(dataset, path):
-    """Write the legacy row-oriented format 1 archive (as PR-era code did)."""
-    import struct
-
-    blob = bytearray()
-    cert_index = {}
-    for position, (fingerprint, cert) in enumerate(sorted(dataset.certificates.items())):
-        der = cert.to_der()
-        blob += struct.pack(">I", len(der))
-        blob += der
-        cert_index[fingerprint] = position
-    scan_lines = []
-    for scan in dataset.scans:
-        scan_lines.append(json.dumps({
-            "day": scan.day,
-            "source": scan.source,
-            "observations": [
-                [obs.ip, cert_index[obs.fingerprint], obs.entity,
-                 list(obs.handshake) if obs.handshake is not None else None]
-                for obs in scan.observations
-            ],
-        }, separators=(",", ":")))
-    manifest = {
-        "format": 1,
-        "n_scans": len(dataset.scans),
-        "n_certificates": len(dataset.certificates),
-        "n_observations": dataset.n_observations,
-    }
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as archive:
-        archive.writestr("manifest.json", json.dumps(manifest, indent=2))
-        archive.writestr("certificates.der", bytes(blob))
-        archive.writestr("scans.jsonl", "\n".join(scan_lines))
-
-
-class TestV1Compatibility:
-    def test_v1_archive_still_loads(self, tmp_path):
-        dataset = small_dataset()
-        path = tmp_path / "legacy.rpz"
-        save_dataset_v1(dataset, path)
-        loaded = load_dataset(path)
-        assert len(loaded.scans) == len(dataset.scans)
-        assert set(loaded.certificates) == set(dataset.certificates)
-        for original, restored in zip(dataset.scans, loaded.scans):
-            assert restored.observations == original.observations
-
-    def test_v1_handshakes_and_entities_load(self, tmp_path):
-        cert = make_cert(cn="v1hs", key_seed=5)
-        handshake = HandshakeRecord(version=0x0303, cipher=0xC013,
-                                    tcp_window=29200, ip_ttl=64)
-        scan = Scan(
-            day=DAY0, source="test",
-            observations=[Observation(1, cert.fingerprint, "device:3", handshake)],
-        )
-        dataset = ScanDataset([scan], {cert.fingerprint: cert})
-        path = tmp_path / "legacy-hs.rpz"
-        save_dataset_v1(dataset, path)
-        loaded = load_dataset(path)
-        assert loaded.handshake_of(cert.fingerprint) == handshake
-        assert loaded.entities_of(cert.fingerprint) == {"device:3"}
-
-    def test_v1_and_v3_load_identically(self, tmp_path):
-        dataset = small_dataset()
-        v1, v3 = tmp_path / "one.rpz", tmp_path / "two.rpz"
-        save_dataset_v1(dataset, v1)
-        save_dataset(dataset, v3)
-        from_v1, from_v3 = load_dataset(v1), load_dataset(v3)
-        for left, right in zip(from_v1.scans, from_v3.scans):
-            assert left.observations == list(right.observations)
-        assert set(from_v1.certificates) == set(from_v3.certificates)
-
-
-class TestV2Compatibility:
-    def test_v2_archive_still_loads(self, tmp_path):
-        dataset = small_dataset()
-        path = tmp_path / "legacy2.rpz"
-        save_dataset_v2(dataset, path)
-        assert read_manifest(path)["format"] == 2
-        loaded = load_dataset(path)
-        assert len(loaded.scans) == len(dataset.scans)
-        assert set(loaded.certificates) == set(dataset.certificates)
-        for original, restored in zip(dataset.scans, loaded.scans):
-            assert restored.observations == original.observations
-
-    def test_v2_handshakes_and_entities_load(self, tmp_path):
-        cert = make_cert(cn="v2hs", key_seed=6)
-        handshake = HandshakeRecord(version=0x0303, cipher=0xC013,
-                                    tcp_window=29200, ip_ttl=64)
-        scan = Scan(
-            day=DAY0, source="test",
-            observations=[Observation(1, cert.fingerprint, "device:5", handshake)],
-        )
-        dataset = ScanDataset([scan], {cert.fingerprint: cert})
-        path = tmp_path / "legacy2-hs.rpz"
-        save_dataset_v2(dataset, path)
-        loaded = load_dataset(path)
-        assert loaded.handshake_of(cert.fingerprint) == handshake
-        assert loaded.entities_of(cert.fingerprint) == {"device:5"}
-
-    def test_v2_and_v3_load_identically(self, tmp_path):
-        dataset = small_dataset()
-        v2, v3 = tmp_path / "two.rpz", tmp_path / "three.rpz"
-        save_dataset_v2(dataset, v2)
-        save_dataset(dataset, v3)
-        from_v2, from_v3 = load_dataset(v2), load_dataset(v3)
-        for left, right in zip(from_v2.scans, from_v3.scans):
-            assert left.observations == list(right.observations)
-        assert set(from_v2.certificates) == set(from_v3.certificates)

@@ -5,8 +5,6 @@ row-path implementations they replaced; the naive versions live here as
 reference oracles.
 """
 
-import os
-
 import pytest
 
 from repro.scanner.columns import ObservationColumns, ObservationIndex
@@ -15,6 +13,7 @@ from repro.scanner.records import Observation, Scan
 from repro.tls.handshake import HandshakeRecord
 
 from ..core.helpers import DAY0, make_cert
+from ..oracles.rows import verify_index_parity
 
 
 # --- naive row-path oracles (the pre-columnar implementations) -----------------
@@ -119,21 +118,8 @@ class TestIndexMatchesNaive:
 
 class TestColumnarParity:
     def test_verify_index_parity_on_seeded_world(self, tiny_synthetic):
-        # The built-in parity checker walks *every* certificate.
-        tiny_synthetic.scans.verify_index_parity()
-
-    def test_parity_env_knob_triggers_check(self):
-        dataset, *_ = handshake_corpus()
-        env_key = "REPRO_DATASET_PARITY"
-        previous = os.environ.get(env_key)
-        os.environ[env_key] = "1"
-        try:
-            assert dataset.appearances(next(iter(dataset.certificates))) is not None
-        finally:
-            if previous is None:
-                del os.environ[env_key]
-            else:
-                os.environ[env_key] = previous
+        # The oracle's parity checker walks *every* certificate.
+        verify_index_parity(tiny_synthetic.scans)
 
     def test_columns_round_trip_rows(self):
         dataset, *_ = handshake_corpus()

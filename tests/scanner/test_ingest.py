@@ -17,11 +17,13 @@ import pytest
 from repro.internet.population import WorldConfig, build_world
 from repro.io import load_dataset
 from repro.io.artifacts import ArtifactCache
+from repro.io.encoding import SegmentError
 from repro.io.store import StreamingDatasetWriter, append_shards
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry
 from repro.scanner.campaign import ScanCampaign
 from repro.scanner.columns import CertIntervals, RowDelta
+from repro.scanner.dataset import ScanDataset
 from repro.scanner.engine import ScanEngine
 
 CONFIG = WorldConfig(
@@ -175,11 +177,12 @@ class TestAppendBytes:
         assert not (tmp_path / "bad.rpz").exists()
 
     def test_legacy_archive_rejected(self, corpus, tmp_path):
-        from repro.io import save_dataset_v2
+        import zipfile
 
         legacy = tmp_path / "legacy.rpz"
-        save_dataset_v2(load_dataset(corpus["base"]), legacy)
-        with pytest.raises(ValueError, match="not a (segment|format 3)"):
+        with zipfile.ZipFile(legacy, "w") as archive:
+            archive.writestr("manifest.json", '{"format": 2}')
+        with pytest.raises(SegmentError, match="format 1 or 2"):
             append_shards(
                 legacy, corpus["tail"], corpus["certificates"],
                 tmp_path / "bad.rpz",
@@ -239,12 +242,10 @@ class TestExtendedKernels:
                 assert column.tobytes() == right.raw_ids[feature].tobytes()
 
     def test_extend_requires_mapped_dataset(self, corpus, tmp_path):
-        from repro.io import save_dataset_v2
-
-        legacy = tmp_path / "legacy.rpz"
-        save_dataset_v2(load_dataset(corpus["base"]), legacy)
+        base = load_dataset(corpus["base"])
+        in_memory = ScanDataset(list(base.scans), dict(base.certificates))
         with pytest.raises(ValueError, match="mapped"):
-            load_dataset(legacy).extend_from_shard(
+            in_memory.extend_from_shard(
                 corpus["tail"], corpus["certificates"], tmp_path / "x.rpz"
             )
 

@@ -1,11 +1,9 @@
 """Tests for direct-to-columnar shard generation and the streaming writer.
 
-The shard path must be *bitwise* interchangeable with the legacy row
-emitter: same observations in the same order, same interning tables, same
-certificate-store order, and — for the streaming corpus writer — the same
-archive bytes as an in-memory build.  The legacy row path stays alive in
-the engine precisely so these tests (and ``REPRO_LINK_PARITY=1``) can
-keep holding the shard path to it.
+The shard path must be *bitwise* interchangeable with the row emitter
+kept in ``tests/oracles/rows.py``: same observations in the same order,
+same interning tables, same certificate-store order, and — for the
+streaming corpus writer — the same archive bytes as an in-memory build.
 """
 
 from array import array
@@ -15,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets.synthetic import generate, generate_streamed
 from repro.internet.population import WorldConfig, build_world
-from repro.io import ArchiveBackend, InMemoryBackend, load_dataset, save_dataset
+from repro.io import InMemoryBackend, MappedBackend, load_dataset, save_dataset
 from repro.scanner.campaign import ScanCampaign
 from repro.scanner.columns import ObservationColumns
 from repro.scanner.dataset import ScanDataset
@@ -29,6 +27,8 @@ from repro.scanner.shards import (
     shard_scan,
 )
 from repro.tls.handshake import HandshakeRecord
+
+from ..oracles.rows import RowEngine, collect_rows, verify_generation_parity
 
 SMALL_CONFIG = WorldConfig(
     seed=11, n_devices=40, n_websites=10, n_generic_access=10,
@@ -113,7 +113,7 @@ class TestLazyObservations:
         day = small_campaign.scan_days[0]
         engine = ScanEngine(small_world)
         lazy = shard_scan(engine.run_shard(small_campaign, day)).observations
-        rows = ScanEngine(small_world).row_observations(small_campaign, day)
+        rows = RowEngine(small_world).row_observations(small_campaign, day)
         return lazy, rows
 
     def test_sequence_protocol(self, lazy_and_rows):
@@ -178,9 +178,7 @@ class TestRowColumnarParity:
     @pytest.fixture(scope="class")
     def both_paths(self, small_world, small_campaign):
         columnar = ScanDataset.collect(small_world, [small_campaign])
-        rows = ScanDataset.collect(
-            small_world, [small_campaign], columnar=False
-        )
+        rows = collect_rows(small_world, [small_campaign])
         return columnar, rows
 
     def test_scans_identical(self, both_paths):
@@ -216,9 +214,8 @@ class TestRowColumnarParity:
         columnar = ScanDataset.collect(
             small_world, [small_campaign], collect_handshakes=True
         )
-        rows = ScanDataset.collect(
-            small_world, [small_campaign],
-            collect_handshakes=True, columnar=False,
+        rows = collect_rows(
+            small_world, [small_campaign], collect_handshakes=True
         )
         for lazy_scan, row_scan in zip(columnar.scans, rows.scans):
             assert lazy_scan.observations == row_scan.observations
@@ -238,12 +235,19 @@ class TestRowColumnarParity:
         assert columns_equal(serial.columns, fanned.columns)
         assert list(serial.certificates) == list(fanned.certificates)
 
-    def test_link_parity_knob_runs_the_replay(
-        self, small_world, small_campaign, monkeypatch
+    @pytest.mark.parametrize("handshakes", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_generation_matches_row_oracle(
+        self, small_world, small_campaign, handshakes, workers
     ):
-        monkeypatch.setenv("REPRO_LINK_PARITY", "1")
-        dataset = ScanDataset.collect(small_world, [small_campaign])
+        dataset = ScanDataset.collect(
+            small_world, [small_campaign],
+            collect_handshakes=handshakes, workers=workers,
+        )
         assert dataset.n_observations > 0
+        verify_generation_parity(
+            dataset, small_world, [small_campaign], handshakes
+        )
 
 
 class TestStreamingWriter:
@@ -267,7 +271,7 @@ class TestStreamingWriter:
 
     def test_incremental_digest_matches_file_hash(self, streamed_and_memory):
         receipt, *_ = streamed_and_memory
-        assert ArchiveBackend(receipt.path).corpus_digest() == receipt.digest
+        assert MappedBackend(receipt.path).corpus_digest() == receipt.digest
 
     def test_receipt_counts(self, streamed_and_memory):
         receipt, built, *_ = streamed_and_memory

@@ -182,39 +182,68 @@ class TestStreamOut:
         assert main(["info", str(streamed)]) == 0
 
 
-class TestConvert:
-    @pytest.fixture()
-    def legacy_corpus(self, saved_corpus, tmp_path):
-        """A v2 zip archive holding the same corpus as saved_corpus."""
-        from repro.io import load_dataset, save_dataset_v2
+class TestCorruptContainers:
+    """A file that is not an intact format 3 corpus fails in one line."""
+
+    @staticmethod
+    def _legacy_zip(path, format):
+        import json
+        import zipfile
+
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("manifest.json", json.dumps({"format": format}))
+            archive.writestr("certificates.der", b"")
+            archive.writestr("scans.jsonl", "")
+
+    def _assert_one_line_error(self, capsys, path, reason):
+        assert main(["info", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"repro: {path}: ")
+        assert reason in lines[0]
+
+    @pytest.mark.parametrize("format", [1, 2])
+    def test_legacy_zip(self, tmp_path, capsys, format):
+        path = tmp_path / f"v{format}.rpz"
+        self._legacy_zip(path, format)
+        self._assert_one_line_error(capsys, path, "repro generate")
+
+    def test_junk(self, tmp_path, capsys):
+        path = tmp_path / "junk.rpz"
+        path.write_bytes(b"definitely not a container")
+        self._assert_one_line_error(capsys, path, "not a segment container")
+
+    def test_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.rpz"
+        path.write_bytes(b"")
+        self._assert_one_line_error(capsys, path, "not a segment container")
+
+    def test_truncated(self, saved_corpus, tmp_path, capsys):
+        corpus, _ = saved_corpus
+        path = tmp_path / "truncated.rpz"
+        path.write_bytes(corpus.read_bytes()[:-10])
+        self._assert_one_line_error(capsys, path, "truncated")
+
+    def test_missing_cert_hash(self, saved_corpus, tmp_path, capsys):
+        from .io.test_backends import _strip_hash_segment
 
         corpus, _ = saved_corpus
-        legacy = tmp_path / "legacy.rpz"
-        save_dataset_v2(load_dataset(corpus), legacy)
-        return corpus, legacy
+        path = tmp_path / "no-hash.rpz"
+        _strip_hash_segment(corpus, path)
+        self._assert_one_line_error(capsys, path, "cert_hash")
 
-    def test_convert_produces_native_equivalent(
-        self, legacy_corpus, tmp_path, capsys
+    def test_analysis_commands_fail_the_same_way(
+        self, saved_corpus, tmp_path, capsys
     ):
-        corpus, legacy = legacy_corpus
-        out = tmp_path / "upgraded.rpz"
-        assert main(["convert", str(legacy), "--out", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "format 2" in printed
-        assert "corpus digest:" in printed
-        # The converter re-interns in canonical corpus order, so the
-        # upgraded archive is bitwise-identical to a native format 3 save.
-        assert out.read_bytes() == corpus.read_bytes()
-
-    def test_convert_default_output_path(self, legacy_corpus, capsys):
-        _, legacy = legacy_corpus
-        assert main(["convert", str(legacy)]) == 0
-        assert legacy.with_name("legacy.v3.rpz").exists()
-
-    def test_convert_rejects_format3_input(self, saved_corpus):
-        corpus, _ = saved_corpus
-        with pytest.raises(SystemExit, match="already a format 3"):
-            main(["convert", str(corpus)])
+        _, environment = saved_corpus
+        path = tmp_path / "v2.rpz"
+        self._legacy_zip(path, 2)
+        code = main(["census", "--corpus", str(path),
+                     "--environment", str(environment)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"repro: {path}: ")
 
 
 class TestObservability:

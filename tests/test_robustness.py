@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.dedup import classify_unique_certificates
 from repro.core.features import Feature
 from repro.core.linking import link_on_feature
+from repro.io.encoding import SegmentError
 from repro.io.store import load_dataset, save_dataset
 from repro.x509.asn1 import DERError, DERReader
 from repro.x509.certificate import Certificate
@@ -54,11 +55,13 @@ class TestDERFuzz:
 
 class TestArchiveFailures:
     def test_missing_member(self, tmp_path):
+        # A (broken) format 1 ZIP archive: the retired formats fail at
+        # open, before any member is looked up.
         path = tmp_path / "broken.rpz"
         with zipfile.ZipFile(path, "w") as archive:
             archive.writestr("manifest.json", json.dumps({"format": 1}))
             # no certificates.der / scans.jsonl
-        with pytest.raises(KeyError):
+        with pytest.raises(SegmentError, match="formats are no longer read"):
             load_dataset(path)
 
     def test_truncated_container(self, tmp_path):
@@ -69,7 +72,7 @@ class TestArchiveFailures:
         broken = tmp_path / "broken.rpz"
         blob = path.read_bytes()
         broken.write_bytes(blob[:-10])
-        with pytest.raises(Exception):
+        with pytest.raises(SegmentError, match="truncated"):
             load_dataset(broken)
 
     def test_corrupt_certificate_record(self, tmp_path):
@@ -93,7 +96,7 @@ class TestArchiveFailures:
     def test_not_a_zip(self, tmp_path):
         path = tmp_path / "junk.rpz"
         path.write_bytes(b"definitely not a zip")
-        with pytest.raises(zipfile.BadZipFile):
+        with pytest.raises(SegmentError, match="not a segment container"):
             load_dataset(path)
 
 
