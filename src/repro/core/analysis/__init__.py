@@ -12,6 +12,7 @@ from .hosts import (
 )
 from .issuers import (
     KeyConcentration,
+    issuer_labels,
     private_ip_issuer_count,
     self_signed_fraction,
     signing_key_concentration,
@@ -22,8 +23,10 @@ from .longevity import (
     LifetimeSummary,
     ReissueGap,
     ephemeral_fingerprints,
+    lifetime_spans,
     lifetimes,
     reissue_gap,
+    validity_days,
     validity_periods,
 )
 from .scans import (
@@ -46,6 +49,7 @@ __all__ = [
     "ip_diversity",
     "top_hosting_ases",
     "KeyConcentration",
+    "issuer_labels",
     "private_ip_issuer_count",
     "self_signed_fraction",
     "signing_key_concentration",
@@ -55,8 +59,10 @@ __all__ = [
     "LifetimeSummary",
     "ReissueGap",
     "ephemeral_fingerprints",
+    "lifetime_spans",
     "lifetimes",
     "reissue_gap",
+    "validity_days",
     "validity_periods",
     "BlacklistAttribution",
     "ScanCount",

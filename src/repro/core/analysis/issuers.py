@@ -5,6 +5,9 @@ side: the big commercial CAs; invalid side: device vendors, private IP
 literals, and the empty string), how self-signed the invalid population
 is, and how concentrated the *signing keys* are (five keys span half of
 all valid certificates; the invalid side has vastly more parent keys).
+Issuer names and self-signatures are read from the feature matrix (the
+ISSUER_SERIAL value table and the self-signed column), so Table 1 and
+the self-signed share parse no certificate.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ...scanner.dataset import ScanDataset
+from ..features import Feature
 
 __all__ = [
+    "issuer_labels",
     "top_issuers",
     "self_signed_fraction",
     "KeyConcentration",
@@ -25,14 +30,28 @@ __all__ = [
 _EMPTY_LABEL = "(Empty string)"
 
 
+def issuer_labels(
+    dataset: ScanDataset, fingerprints: Iterable[bytes]
+) -> list[str]:
+    """Each certificate's issuer Common Name as Table 1 labels it, in order.
+
+    The issuer half of the feature matrix's ISSUER_SERIAL value; an
+    absent or empty Common Name reads ``(Empty string)``.
+    """
+    matrix = dataset.feature_matrix
+    labels = []
+    for fingerprint in fingerprints:
+        cn = matrix.raw_value(Feature.ISSUER_SERIAL, fingerprint)[0].cn
+        labels.append(cn if cn else _EMPTY_LABEL)
+    return labels
+
+
 def top_issuers(
     dataset: ScanDataset, fingerprints: Iterable[bytes], n: int = 5
 ) -> list[tuple[str, int]]:
     """Table 1: the ``n`` most frequent issuer Common Names."""
     counts: dict[str, int] = {}
-    for fingerprint in fingerprints:
-        cn = dataset.certificate(fingerprint).issuer_cn
-        label = cn if cn else _EMPTY_LABEL
+    for label in issuer_labels(dataset, fingerprints):
         counts[label] = counts.get(label, 0) + 1
     return sorted(counts.items(), key=lambda item: item[1], reverse=True)[:n]
 
@@ -44,9 +63,9 @@ def self_signed_fraction(
     fingerprints = list(fingerprints)
     if not fingerprints:
         return 0.0
-    count = sum(
-        1 for fp in fingerprints if dataset.certificate(fp).is_self_signed()
-    )
+    matrix = dataset.feature_matrix
+    rows = matrix.rows
+    count = sum(matrix.self_signed[rows[fp]] for fp in fingerprints)
     return count / len(fingerprints)
 
 

@@ -4,6 +4,8 @@ How many certificates share public keys: the key-coverage curve, the
 fraction of certificates whose key appears on at least one other
 certificate (47 % of invalid certificates in the paper), and the single
 most-shared key (the Lancom key, on 6.5 % of all invalid certificates).
+Keys are counted by their interned PUBLIC_KEY id in the feature matrix,
+so no certificate is parsed.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Iterable
 
 from ...scanner.dataset import ScanDataset
 from ...x509.keys import PublicKey
+from ..features import Feature
 
 __all__ = ["KeySharingReport", "key_sharing"]
 
@@ -47,11 +50,14 @@ def key_sharing(
     dataset: ScanDataset, fingerprints: Iterable[bytes]
 ) -> KeySharingReport:
     """Compute the Figure 6 analysis for one population."""
-    counts: dict[PublicKey, int] = {}
+    matrix = dataset.feature_matrix
+    rows = matrix.rows
+    key_ids = matrix.raw_ids[Feature.PUBLIC_KEY]
+    counts: dict[int, int] = {}
     total = 0
     for fingerprint in fingerprints:
-        key = dataset.certificate(fingerprint).public_key
-        counts[key] = counts.get(key, 0) + 1
+        key_id = key_ids[rows[fingerprint]]
+        counts[key_id] = counts.get(key_id, 0) + 1
         total += 1
     if total == 0:
         raise ValueError("empty certificate population")
@@ -63,12 +69,12 @@ def key_sharing(
     for index, (_, count) in enumerate(ordered, start=1):
         running += count
         curve.append((index / len(ordered), running / total))
-    top_key, top_count = ordered[0]
+    top_id, top_count = ordered[0]
     return KeySharingReport(
         n_certificates=total,
         n_keys=len(ordered),
         shared_fraction=shared / total,
-        top_key=top_key,
+        top_key=matrix.values[Feature.PUBLIC_KEY][top_id],
         top_key_fraction=top_count / total,
         coverage_curve=tuple(curve),
     )

@@ -2,7 +2,10 @@
 
 Validity periods (Not Before → Not After), observed lifetimes (first scan →
 last scan, inclusive), and the reissue-gap analysis over ephemeral
-certificates that establishes the periodic-reissue hypothesis.
+certificates that establishes the periodic-reissue hypothesis.  Validity
+periods read the feature matrix's Not Before / Not After value tables and
+lifetimes the per-certificate interval arrays, so neither parses a
+certificate.
 """
 
 from __future__ import annotations
@@ -12,15 +15,34 @@ from typing import Iterable
 
 from ...scanner.dataset import ScanDataset
 from ...stats.cdf import CDF
+from ..features import Feature
 
 __all__ = [
+    "validity_days",
     "validity_periods",
+    "lifetime_spans",
     "lifetimes",
     "LifetimeSummary",
     "ephemeral_fingerprints",
     "ReissueGap",
     "reissue_gap",
 ]
+
+
+def validity_days(
+    dataset: ScanDataset, fingerprints: Iterable[bytes]
+) -> list[int]:
+    """Not After − Not Before, in days, of each certificate, in order.
+
+    The day components of the feature matrix's NOT_BEFORE / NOT_AFTER
+    stamps, which equal :attr:`Certificate.validity_period_days`.
+    """
+    matrix = dataset.feature_matrix
+    return [
+        matrix.raw_value(Feature.NOT_AFTER, fp)[0]
+        - matrix.raw_value(Feature.NOT_BEFORE, fp)[0]
+        for fp in fingerprints
+    ]
 
 
 def validity_periods(
@@ -31,9 +53,7 @@ def validity_periods(
     Negative values (Not After before Not Before) are kept — they are
     5.38 % of the paper's invalid population and the CDF's non-zero start.
     """
-    return CDF.of(
-        dataset.certificate(fp).validity_period_days for fp in fingerprints
-    )
+    return CDF.of(validity_days(dataset, fingerprints))
 
 
 @dataclass(frozen=True)
@@ -48,14 +68,39 @@ class LifetimeSummary:
         return self.cdf.median
 
 
+def lifetime_spans(
+    dataset: ScanDataset, fingerprints: Iterable[bytes]
+) -> list[tuple[int, int]]:
+    """(observed lifetime in days, distinct scans) of each certificate.
+
+    From the interval arrays: the inclusive first→last scan-day span
+    (``dataset.lifetime_days``) and the scan count.  A certificate never
+    observed raises KeyError, as ``dataset.first_last_day`` does.
+    """
+    intervals = dataset.intervals
+    cert_ids = dataset.columns.fingerprint_ids
+    days = [scan.day for scan in dataset.scans]
+    spans = []
+    for fingerprint in fingerprints:
+        cert_id = cert_ids.get(fingerprint)
+        if cert_id is None or intervals.first_scan[cert_id] < 0:
+            raise KeyError(
+                f"certificate never observed: {fingerprint.hex()[:12]}"
+            )
+        spans.append((
+            days[intervals.last_scan[cert_id]]
+            - days[intervals.first_scan[cert_id]] + 1,
+            intervals.n_scans[cert_id],
+        ))
+    return spans
+
+
 def lifetimes(dataset: ScanDataset, fingerprints: Iterable[bytes]) -> LifetimeSummary:
     """Figure 4: observed lifetimes (inclusive first→last scan day)."""
-    fingerprints = list(fingerprints)
-    cdf = CDF.of(dataset.lifetime_days(fp) for fp in fingerprints)
-    single = sum(
-        1 for fp in fingerprints if len(dataset.scan_indexes_of(fp)) == 1
-    )
-    return LifetimeSummary(cdf=cdf, single_scan_fraction=single / len(fingerprints))
+    spans = lifetime_spans(dataset, fingerprints)
+    cdf = CDF.of(days for days, _ in spans)
+    single = sum(1 for _, n_scans in spans if n_scans == 1)
+    return LifetimeSummary(cdf=cdf, single_scan_fraction=single / len(spans))
 
 
 def ephemeral_fingerprints(

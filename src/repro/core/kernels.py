@@ -9,9 +9,12 @@ replacement:
 
 * :class:`FeatureMatrix` — all ten §6.3 feature values extracted **once**
   per certificate into interned value-id columns (``-1`` = absent), with a
-  parallel linkable view that drops IPv4-literal Common Names (§6.4.1).
-  Cached on the dataset (``dataset.feature_matrix``) so it ships to
-  process-pool workers once, with the pickled dataset.
+  parallel linkable view that drops IPv4-literal Common Names (§6.4.1)
+  and a self-signed flag per certificate.  The §5 census reads it too,
+  so a warm run never parses a certificate to count validity periods,
+  keys, issuers or self-signatures.  Cached on the dataset
+  (``dataset.feature_matrix``) so it ships to process-pool workers once,
+  with the pickled dataset.
 * :class:`ConsistencyCache` + :func:`fused_group_levels` /
   :func:`fused_group_consistency` — each certificate's per-scan location
   sets (ip, /24, AS) and per-location scan counts are computed in a
@@ -72,14 +75,20 @@ class FeatureMatrix:
     * ``linkable_ids[feature]`` — row → value id as the linking pipeline
       consumes it (:func:`~.features.linkable_value`); aliases
       ``raw_ids`` for every field except Common Name, where IPv4-literal
-      names are additionally ``-1``.
+      names are additionally ``-1``;
+    * ``self_signed``       — row → 1 when the certificate verifies under
+      its own key (:meth:`~repro.x509.certificate.Certificate.is_self_signed`),
+      else 0 (``int8``).
 
     Equal values intern to equal ids, so grouping and census counting
     become integer-array operations; ``values`` maps ids back when a
     result needs the original (hashable) value.
     """
 
-    __slots__ = ("rows", "fingerprints", "values", "raw_ids", "linkable_ids")
+    __slots__ = (
+        "rows", "fingerprints", "values", "raw_ids", "linkable_ids",
+        "self_signed",
+    )
 
     def __init__(self) -> None:
         self.rows: Dict[bytes, int] = {}
@@ -87,12 +96,14 @@ class FeatureMatrix:
         self.values: Dict[Feature, List[Hashable]] = {f: [] for f in Feature}
         self.raw_ids: Dict[Feature, array] = {}
         self.linkable_ids: Dict[Feature, array] = {}
+        self.self_signed = array("b")
 
     @classmethod
     def from_certificates(
         cls, certificates: Dict[bytes, Certificate], workers: int = 1
     ) -> "FeatureMatrix":
-        """Extract all ten features of every certificate in one pass.
+        """Extract all ten features and the self-signed flag of every
+        certificate in one pass.
 
         ``workers > 1`` shards the attribute-walk extraction (the
         expensive part) over a process pool; the value interning runs in
@@ -110,13 +121,15 @@ class FeatureMatrix:
             feature: {} for feature in features
         }
         cn_linkable = array("i", bytes(4 * n))
+        self_signed = array("b", bytes(n))
         if workers > 1 and n > 1:
             extracted = _extract_sharded(list(certificates.values()), workers)
         else:
             extracted = (_extract_all(cert) for cert in certificates.values())
         _intern_extracted(matrix, extracted, features, raw, cn_linkable,
-                          value_ids)
+                          self_signed, value_ids)
         matrix.raw_ids = raw
+        matrix.self_signed = self_signed
         matrix.linkable_ids = dict(raw)
         matrix.linkable_ids[Feature.COMMON_NAME] = cn_linkable
         return matrix
@@ -141,12 +154,13 @@ class FeatureMatrix:
         with the prefix of the base's (ids are dense in first-appearance
         order, so the values those rows introduced are exactly
         ``base.values[feature][:max_prefix_id + 1]``).  The expensive
-        part — DER parsing and the per-certificate attribute walk — runs
-        only over the appended certificates; re-interned base rows
-        recover their extracted tuples exactly from the base matrix
-        (``values[feature][raw_ids[feature][row]]`` inverts the
-        interning).  Bitwise-identical to :meth:`from_certificates` over
-        the grown table.
+        part — DER parsing, the per-certificate attribute walk and the
+        self-signature check — runs only over the appended certificates;
+        re-interned base rows recover their extracted tuples exactly from
+        the base matrix (``values[feature][raw_ids[feature][row]]``
+        inverts the interning, and the self-signed flag is copied).
+        Bitwise-identical to :meth:`from_certificates` over the grown
+        table.
         """
         fingerprints = list(certificates)
         base_rows = base.rows
@@ -174,11 +188,11 @@ class FeatureMatrix:
             row = base_rows.get(fingerprint)
             if row is None:
                 return new_values[fingerprint]
-            return tuple(
+            return (*(
                 base_values[feature][base_raw[feature][row]]
                 if base_raw[feature][row] >= 0 else None
                 for feature in features
-            )
+            ), base.self_signed[row])
 
         matrix = cls()
         n = len(fingerprints)
@@ -189,6 +203,7 @@ class FeatureMatrix:
             feature: {} for feature in features
         }
         cn_linkable = array("i", bytes(4 * n))
+        self_signed = array("b", bytes(n))
         if prefix:
             for feature in features:
                 head = base_raw[feature][:prefix]
@@ -199,11 +214,14 @@ class FeatureMatrix:
                 raw[feature][:prefix] = head
             cn_linkable[:prefix] = \
                 base.linkable_ids[Feature.COMMON_NAME][:prefix]
+            self_signed[:prefix] = base.self_signed[:prefix]
         _intern_extracted(
             matrix, (recovered(fp) for fp in fingerprints[prefix:]),
-            features, raw, cn_linkable, value_ids, start_row=prefix,
+            features, raw, cn_linkable, self_signed, value_ids,
+            start_row=prefix,
         )
         matrix.raw_ids = raw
+        matrix.self_signed = self_signed
         matrix.linkable_ids = dict(raw)
         matrix.linkable_ids[Feature.COMMON_NAME] = cn_linkable
         return matrix
@@ -227,6 +245,7 @@ def _intern_extracted(
     features: tuple,
     raw: Dict[Feature, array],
     cn_linkable: array,
+    self_signed: array,
     value_ids: Dict[Feature, Dict[Hashable, int]],
     start_row: int = 0,
 ) -> None:
@@ -235,9 +254,12 @@ def _intern_extracted(
     Shared by the cold build and the delta extension: value ids are
     assigned on first appearance in row order, so resuming the loop at
     ``start_row`` over tables seeded from a prefix build reproduces the
-    cold build's interning exactly.
+    cold build's interning exactly.  Each tuple ends with the row's
+    self-signed flag, after its feature values.
     """
+    flag = len(features)
     for row, values in enumerate(extracted, start_row):
+        self_signed[row] = values[flag]
         for feature, value in zip(features, values):
             if value is None:
                 raw[feature][row] = -1
@@ -292,7 +314,8 @@ def _extract_sharded(certs: "List[Certificate]", workers: int) -> "list[tuple]":
 
 
 def _extract_all(cert: Certificate) -> tuple:
-    """All ten feature values of one certificate, in ``Feature`` order.
+    """All ten feature values of one certificate, in ``Feature`` order,
+    then its self-signed flag.
 
     The fused form of ten :func:`~.features.extract` calls — one attribute
     walk per certificate instead of one per (certificate, feature).  Must
@@ -311,6 +334,7 @@ def _extract_all(cert: Certificate) -> tuple:
         extensions.ca_issuer_uris or None,           # AIA
         extensions.ocsp_uris or None,                # OCSP
         extensions.policy_oids or None,              # OID
+        cert.is_self_signed(),
     )
 
 

@@ -15,7 +15,7 @@ issuer, 0.01 % other).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from ..obs import runtime as obs
 from ..scanner.dataset import ScanDataset
@@ -28,9 +28,14 @@ __all__ = ["ValidationReport", "validate_dataset"]
 
 @dataclass
 class ValidationReport:
-    """Classification of every certificate in a scan corpus."""
+    """Classification of every certificate in a scan corpus.
 
-    results: dict[bytes, VerifyResult]
+    ``results`` is a dict when the verdicts were just computed; a report
+    loaded from the artifact cache holds a read-only mapping that builds
+    each verdict when it is first read (:mod:`repro.io.artifacts`).
+    """
+
+    results: Mapping[bytes, VerifyResult]
     valid: set[bytes] = field(default_factory=set)
     invalid: set[bytes] = field(default_factory=set)
     disregarded: set[bytes] = field(default_factory=set)

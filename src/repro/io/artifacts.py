@@ -33,7 +33,8 @@ Segment groups:
   artifact;
 * ``index.*`` / ``intervals.*`` — the CSR index and interval arrays;
 * ``matrix.*``    — the feature matrix (interned value tables as one
-  pickle segment, id columns as arrays);
+  pickle segment, id columns and the ``int8`` self-signed column as
+  arrays), which is all the §5 census reads;
 * ``val.*``       — per-certificate verdicts, columnar: interned
   status/detail tables, per-record id columns, a flat chain-fingerprint
   blob with per-record lengths, plus the DER of chain members that are
@@ -42,8 +43,12 @@ Segment groups:
 A warm load **maps** the container: fixed-stride segments come back as
 ``memoryview``s over the shared ``mmap`` (the ``artifacts/map`` span),
 so adopting cached kernels costs O(1) and the bytes page in as queries
-touch them.  Only the feature-matrix id columns are copied out (they
-must survive pickling into pool workers).
+touch them.  Only the feature-matrix columns are copied out (they
+must survive pickling into pool workers).  Verdicts decode on read: a
+load builds the valid / invalid / disregarded sets from the status
+column and checks every record, but a :class:`VerifyResult` — and the
+certificates of its chain — is built only when a caller reads it, so a
+warm load parses no corpus certificate.
 
 Any failure to read, decode, or sanity-check an artifact — truncation,
 a schema bump, a digest mismatch, a pre-format-3 ZIP artifact — degrades
@@ -84,6 +89,7 @@ from ..scanner.columns import (
 )
 from ..tls.handshake import HandshakeRecord
 from ..x509.certificate import Certificate
+from ..x509.chain import VerifyResult, VerifyStatus
 from .encoding import (
     DIGEST_META,
     DIGEST_SCAN,
@@ -113,8 +119,9 @@ __all__ = [
 
 #: Bump on any change to the artifact payload encoding; older files are
 #: invalidated (fall back to a rebuild), never misread.  Schema 1 was
-#: the pre-mmap ZIP-of-pickles layout.
-ARTIFACT_SCHEMA = 2
+#: the pre-mmap ZIP-of-pickles layout; schema 2 lacked the
+#: ``matrix.self_signed`` column.
+ARTIFACT_SCHEMA = 3
 
 #: Streaming chunk size for archive-byte digests.
 _CHUNK = 1 << 20
@@ -260,6 +267,7 @@ def _write_kernels(
     writer.add_array(
         "matrix.cn_linkable", matrix.linkable_ids[Feature.COMMON_NAME]
     )
+    writer.add_array("matrix.self_signed", matrix.self_signed)
 
 
 def _write_validation(
@@ -409,6 +417,7 @@ def _decode_matrix(
         for feature in Feature
     }
     cn_linkable = as_array(reader.array("matrix.cn_linkable"))
+    self_signed = as_array(reader.array("matrix.self_signed"))
     if stored != wanted:
         if sorted(stored) != sorted(wanted):
             raise ValueError("artifact certificate set mismatch")
@@ -419,7 +428,8 @@ def _decode_matrix(
             for feature, column in raw.items()
         }
         cn_linkable = array("i", (cn_linkable[row] for row in perm))
-    for column in raw.values():
+        self_signed = array("b", (self_signed[row] for row in perm))
+    for column in (*raw.values(), cn_linkable, self_signed):
         if len(column) != len(wanted):
             raise ValueError("artifact matrix shape mismatch")
     values = reader.pickle("matrix.values")
@@ -430,7 +440,65 @@ def _decode_matrix(
     matrix.raw_ids = raw
     matrix.linkable_ids = dict(raw)
     matrix.linkable_ids[Feature.COMMON_NAME] = cn_linkable
+    matrix.self_signed = self_signed
     return matrix
+
+
+class _CachedVerdicts(Mapping):
+    """fingerprint → :class:`VerifyResult` over an artifact's verdict
+    columns, each verdict decoded on first read.
+
+    Membership, length and iteration (in stored order) read the
+    fingerprint column alone.  Reading a verdict builds it, resolving
+    its chain's certificates (corpus certificates parse then, through
+    the dataset's lazy table), and memoizes it.  Read-only, and pickles
+    as a plain dict of every verdict.
+    """
+
+    def __init__(
+        self, fingerprints, statuses, details, status_ids, detail_ids,
+        chain_starts, chain_fps, resolve,
+    ) -> None:
+        self._fingerprints = fingerprints
+        self._rows = {fp: row for row, fp in enumerate(fingerprints)}
+        self._statuses = statuses
+        self._details = details
+        self._status_ids = status_ids
+        self._detail_ids = detail_ids
+        self._chain_starts = chain_starts
+        self._chain_fps = chain_fps
+        self._resolve = resolve
+        self._decoded: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._fingerprints)
+
+    def __iter__(self):
+        return iter(self._fingerprints)
+
+    def __contains__(self, fingerprint) -> bool:
+        return fingerprint in self._rows
+
+    def __getitem__(self, fingerprint: bytes) -> VerifyResult:
+        result = self._decoded.get(fingerprint)
+        if result is None:
+            result = self._decoded[fingerprint] = self._decode(
+                self._rows[fingerprint]
+            )
+        return result
+
+    def _decode(self, row: int) -> VerifyResult:
+        start, end = self._chain_starts[row], self._chain_starts[row + 1]
+        return VerifyResult(
+            status=self._statuses[self._status_ids[row]],
+            chain=tuple(
+                self._resolve(fp) for fp in self._chain_fps[start:end]
+            ),
+            detail=self._details[self._detail_ids[row]],
+        )
+
+    def __reduce__(self):
+        return dict, (dict(self.items()),)
 
 
 def _decode_validation(
@@ -438,21 +506,29 @@ def _decode_validation(
     dataset: "ScanDataset",
     trust_store: "TrustStore",
 ) -> "ValidationReport":
-    from ..core.validation import ValidationReport
-    from ..x509.chain import VerifyResult, VerifyStatus
+    """The stored verdicts as a report whose ``results`` decode on read.
 
+    The valid / invalid / disregarded sets are built here, and every
+    check that can reject the bundle runs here too, so a corrupt one is
+    ``invalidated`` at load rather than failing a later query: column
+    shapes and id ranges, the chain blob length, set equality with the
+    corpus, every chain fingerprint naming a corpus certificate, a
+    trust-store root or a stored extra, and the extras (a handful of
+    CA DERs) parsing to their fingerprints.
+    """
+    from ..core.validation import ValidationReport
+
+    certificates = dataset.certificates
     roots = {root.fingerprint: root for root in trust_store}
-    extra_der = reader.pickle("val.extra")
-    parsed: dict[bytes, Certificate] = {}
+    extras = {}
+    for fingerprint, der in reader.pickle("val.extra").items():
+        extras[fingerprint] = Certificate.from_der(der)
+        if extras[fingerprint].fingerprint != fingerprint:
+            raise ValueError("artifact validation extra mismatch")
 
     def resolve(fingerprint: bytes) -> Certificate:
-        cert = dataset.certificates.get(fingerprint) or roots.get(fingerprint) \
-            or parsed.get(fingerprint)
-        if cert is None:
-            cert = parsed[fingerprint] = Certificate.from_der(
-                extra_der[fingerprint]
-            )
-        return cert
+        return certificates.get(fingerprint) or roots.get(fingerprint) \
+            or extras[fingerprint]
 
     status_table = [VerifyStatus(value) for value in reader.json("val.statuses")]
     details = reader.json("val.details")
@@ -468,9 +544,9 @@ def _decode_validation(
     if not (len(fingerprints) == len(status_ids) == len(detail_ids)
             == len(chain_lens)):
         raise ValueError("artifact validation shape mismatch")
-    # ``VerifyResult`` is frozen, so chainless verdicts — the bulk of the
-    # corpus — share one instance per distinct (status, detail) pair.
-    chainless: dict[tuple[int, int], VerifyResult] = {}
+    if max(status_ids, default=-1) >= len(status_table) \
+            or max(detail_ids, default=-1) >= len(details):
+        raise ValueError("artifact validation id out of range")
     # Which report bucket each status lands in (``is_valid`` and the
     # disregarded set are pure functions of the status).
     valid: set[bytes] = set()
@@ -481,34 +557,27 @@ def _decode_validation(
         else (valid if status.is_valid else invalid)
         for status in status_table
     ]
-    results = {}
+    chain_starts = array("I", [0])
     position = 0
-    rows = zip(fingerprints, status_ids, detail_ids, chain_lens)
-    for fingerprint, status_id, detail_id, length in rows:
-        if length:
-            chain = tuple(
-                resolve(fp) for fp in chain_fps[position:position + length]
-            )
-            position += length
-            result = VerifyResult(
-                status=status_table[status_id],
-                chain=chain,
-                detail=details[detail_id],
-            )
-        else:
-            key = (status_id, detail_id)
-            result = chainless.get(key)
-            if result is None:
-                result = chainless[key] = VerifyResult(
-                    status=status_table[status_id],
-                    detail=details[detail_id],
-                )
-        results[fingerprint] = result
+    for fingerprint, status_id, length in zip(
+        fingerprints, status_ids, chain_lens
+    ):
         buckets[status_id].add(fingerprint)
+        position += length
+        chain_starts.append(position)
     if position != len(chain_fps):
         raise ValueError("artifact validation chain blob mismatch")
-    if set(results) != set(dataset.certificates):
+    if set(fingerprints) != set(certificates):
         raise ValueError("artifact validation set mismatch")
+    for fingerprint in set(chain_fps):
+        if fingerprint not in certificates and fingerprint not in roots \
+                and fingerprint not in extras:
+            raise ValueError("artifact validation chain names an unknown "
+                             "certificate")
+    results = _CachedVerdicts(
+        fingerprints, status_table, details, status_ids, detail_ids,
+        chain_starts, chain_fps, resolve,
+    )
     return ValidationReport(
         results=results, valid=valid, invalid=invalid, disregarded=disregarded
     )

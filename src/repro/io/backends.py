@@ -82,11 +82,14 @@ def open_corpus(path: Union[str, pathlib.Path]) -> SegmentReader:
 
     Reads the trailer and manifest only (no ``mmap`` yet) and checks the
     container kind, format, and segment set, so every structural defect
-    surfaces here as one :class:`SegmentError` naming the file.
+    surfaces here as one :class:`SegmentError` naming the file — a
+    missing path included.
     """
     path = pathlib.Path(path)
     try:
         reader = SegmentReader(path)
+    except FileNotFoundError:
+        raise SegmentError(f"{path}: no such file") from None
     except SegmentError:
         with open(path, "rb") as handle:
             if handle.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:

@@ -23,6 +23,7 @@ from ..net.bgp import PrefixTable, Route, RoutingHistory
 from ..net.ip import Prefix
 from ..x509.certificate import Certificate
 from ..x509.truststore import TrustStore
+from .encoding import SegmentError
 
 __all__ = ["AnalysisEnvironment", "save_environment", "load_environment"]
 
@@ -91,8 +92,16 @@ def save_environment(
 
 
 def load_environment(path: Union[str, pathlib.Path]) -> AnalysisEnvironment:
-    """Load an environment written by :func:`save_environment`."""
-    with zipfile.ZipFile(path) as archive:
+    """Load an environment written by :func:`save_environment`.
+
+    A missing path raises :class:`~repro.io.encoding.SegmentError` as
+    ``<path>: no such file``, which the CLI prints as one line.
+    """
+    try:
+        archive = zipfile.ZipFile(path)
+    except FileNotFoundError:
+        raise SegmentError(f"{path}: no such file") from None
+    with archive:
         roots_blob = archive.read("roots.der")
         routing_doc = json.loads(archive.read("routing.json"))
         as_doc = json.loads(archive.read("asinfo.json"))

@@ -27,6 +27,10 @@ Perf architecture, per the three levers this module exists for:
   cache is given) — they share physical pages with the parent, so p99
   stays flat as concurrency grows instead of serializing on the GIL.
 
+A boot over a warm artifact cache parses no certificate: the census,
+the key-group SPKIs and ``/cert``'s ``self_signed`` read the feature
+matrix and the interval arrays, and cached verdicts decode on read.
+
 The engine is transport-free on purpose: :mod:`repro.serve.http` is a
 thin asyncio shell over :meth:`QueryEngine.respond`, and the parity
 tests drive the engine directly against the batch pipeline.
@@ -148,31 +152,36 @@ def _census_aggregates(dataset, fingerprints: Sequence[bytes]) -> dict:
     the wire.  Issuers carry the smallest member fingerprint so the
     router can reproduce ``top_issuers``'s stable tie-break (equal
     counts keep first-appearance order over the ascending-fingerprint
-    iteration).
+    iteration).  Read from the feature matrix and the interval arrays,
+    like the census itself: no certificate is parsed.
     """
-    from ..core.analysis.issuers import _EMPTY_LABEL
+    from ..core.analysis.issuers import issuer_labels
+    from ..core.analysis.longevity import lifetime_spans, validity_days
 
     fingerprints = sorted(fingerprints)
+    matrix = dataset.feature_matrix
+    key_ids = matrix.raw_ids[Feature.PUBLIC_KEY]
     validity: dict[int, int] = {}
     lifetime: dict[int, int] = {}
     n_single_scan = 0
     n_self_signed = 0
-    key_counts: dict = {}
+    key_counts: dict[int, int] = {}
     issuers: dict[str, list] = {}
-    for fingerprint in fingerprints:
-        certificate = dataset.certificate(fingerprint)
-        days = certificate.validity_period_days
+    rows = zip(
+        fingerprints,
+        validity_days(dataset, fingerprints),
+        lifetime_spans(dataset, fingerprints),
+        issuer_labels(dataset, fingerprints),
+    )
+    for fingerprint, days, (life, n_scans), label in rows:
+        row = matrix.rows[fingerprint]
         validity[days] = validity.get(days, 0) + 1
-        life = dataset.lifetime_days(fingerprint)
         lifetime[life] = lifetime.get(life, 0) + 1
-        if len(dataset.scan_indexes_of(fingerprint)) == 1:
+        if n_scans == 1:
             n_single_scan += 1
-        if certificate.is_self_signed():
-            n_self_signed += 1
-        key = certificate.public_key
-        key_counts[key] = key_counts.get(key, 0) + 1
-        cn = certificate.issuer_cn
-        label = cn if cn else _EMPTY_LABEL
+        n_self_signed += matrix.self_signed[row]
+        key_id = key_ids[row]
+        key_counts[key_id] = key_counts.get(key_id, 0) + 1
         entry = issuers.get(label)
         if entry is None:
             issuers[label] = [1, fingerprint.hex()]
@@ -349,12 +358,11 @@ class QueryEngine:
             result = link_on_feature(
                 self.dataset, list(study.unique_invalid), Feature.PUBLIC_KEY
             )
+            matrix = self.dataset.feature_matrix
             key_groups: Dict[str, tuple] = {}
             for group in result.groups:
-                spki = self.dataset.certificate(
-                    group.fingerprints[0]
-                ).public_key.fingerprint.hex()
-                key_groups[spki] = group.fingerprints
+                key = matrix.raw_value(Feature.PUBLIC_KEY, group.fingerprints[0])
+                key_groups[key.fingerprint.hex()] = group.fingerprints
             self._key_groups = key_groups
             track_index: Dict[int, List[int]] = {}
             for position, device in enumerate(devices):
@@ -453,6 +461,8 @@ class QueryEngine:
         except KeyError:
             raise QueryError(404, f"unknown certificate: {fingerprint_hex}")
         validation = self.study.validation()
+        self.study.kernels()
+        matrix = dataset.feature_matrix
         appearances = dataset.appearances(fingerprint)
         payload = {
             "fingerprint": fingerprint.hex(),
@@ -460,7 +470,9 @@ class QueryEngine:
             "issuer_cn": certificate.issuer_cn,
             "spki": certificate.public_key.fingerprint.hex(),
             "validity_period_days": certificate.validity_period_days,
-            "self_signed": certificate.is_self_signed(),
+            "self_signed": bool(
+                matrix.self_signed[matrix.rows[fingerprint]]
+            ),
             "status": (
                 validation.results[fingerprint].status.value
                 if fingerprint in validation.results else None
@@ -567,6 +579,7 @@ class QueryEngine:
     def census(self) -> dict:
         """The §5 invalidity census over the whole corpus."""
         validation = self.study.validation()
+        self.study.kernels()
         valid = sorted(validation.valid)
         invalid = sorted(validation.invalid)
         pool = self.pool
@@ -595,6 +608,7 @@ class QueryEngine:
     def census_slice(self, population: str) -> dict:
         """One population's census slice (``valid`` / ``invalid``)."""
         validation = self.study.validation()
+        self.study.kernels()
         fingerprints = sorted(
             validation.valid if population == "valid" else validation.invalid
         )
@@ -650,6 +664,7 @@ class QueryEngine:
     def fleet_census(self) -> dict:
         """Mergeable census partials for this engine's certificates."""
         validation = self.study.validation()
+        self.study.kernels()
         return {
             "digest": self.digest,
             "n_certificates": len(self.dataset.certificates),

@@ -263,15 +263,31 @@ class DERReader:
 
     def read_tlv(self) -> TLV:
         """Consume and return the next TLV."""
+        tag, end = self._read_header()
+        value = self._data[self._pos:end]
+        self._pos = end
+        return TLV(tag, value)
+
+    def read_raw(self) -> bytes:
+        """Consume the next TLV and return its exact encoding.
+
+        Tag, length and value octets exactly as they appear in the input,
+        so a caller can keep the bytes a signature was computed over
+        instead of re-encoding the parsed structure.
+        """
+        start = self._pos
+        _, self._pos = self._read_header()
+        return self._data[start:self._pos]
+
+    def _read_header(self) -> tuple[int, int]:
+        """Consume the next tag and length; return (tag, end of value)."""
         tag = self.peek_tag()
         self._pos += 1
         length = self._read_length()
         end = self._pos + length
         if end > len(self._data):
             raise DERError("TLV length overruns buffer")
-        value = self._data[self._pos:end]
-        self._pos = end
-        return TLV(tag, value)
+        return tag, end
 
     def _read_length(self) -> int:
         if self.at_end():

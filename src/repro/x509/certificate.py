@@ -6,7 +6,10 @@ and the linking methodology mines their fields.  Certificates DER-encode
 to the real X.509 wire structure (``SEQUENCE { tbsCertificate,
 signatureAlgorithm, signatureValue }``) and parse back exactly; identity is
 the SHA-256 fingerprint over the DER bytes, just as scan datasets key
-certificates in practice.
+certificates in practice.  A parsed certificate keeps the exact bytes it
+was parsed from, and a signed one the exact to-be-signed bytes it signed:
+signature checks and fingerprints read those bytes, never a re-encoding
+of the parsed fields.
 
 Validity bounds are simulated day indices (see :mod:`repro.simtime`).
 Both of the paper's pathologies are representable: Not After before
@@ -115,7 +118,8 @@ class Certificate:
     not_before_secs: int = 0
     not_after_secs: int = 0
 
-    # Cached encodings; excluded from equality/hash.
+    # Encodings: the exact bytes from parsing or signing, else built on
+    # first use.  Excluded from equality/hash.
     _der_cache: dict = field(
         default_factory=dict, compare=False, repr=False, hash=False
     )
@@ -123,7 +127,12 @@ class Certificate:
     # --- encodings ----------------------------------------------------------
 
     def tbs_der(self) -> bytes:
-        """The to-be-signed encoding (signature input)."""
+        """The to-be-signed bytes (signature input).
+
+        The exact TBS slice of the parsed DER, or the body
+        :meth:`sign` signed; encoded from the fields only for a
+        certificate built neither way.
+        """
         cached = self._der_cache.get("tbs")
         if cached is None:
             cached = tbs_der(
@@ -247,7 +256,7 @@ class Certificate:
             version, serial, issuer, subject, not_before, not_after,
             public_key, extensions, not_before_secs, not_after_secs,
         )
-        return cls(
+        certificate = cls(
             version=version,
             serial=serial,
             issuer=issuer,
@@ -260,14 +269,24 @@ class Certificate:
             not_before_secs=not_before_secs,
             not_after_secs=not_after_secs,
         )
+        certificate._der_cache["tbs"] = body
+        return certificate
 
     # --- parsing ---------------------------------------------------------------
 
     @classmethod
     def from_der(cls, data: bytes) -> "Certificate":
-        """Parse a DER-encoded certificate (inverse of :meth:`to_der`)."""
-        outer = DERReader(data).enter_sequence()
-        tbs = outer.enter_sequence()
+        """Parse a DER-encoded certificate (inverse of :meth:`to_der`).
+
+        The certificate keeps the DER it was parsed from and its TBS
+        slice, so :meth:`to_der`, :attr:`fingerprint` and
+        :meth:`verify_signature` read the bytes that were signed.
+        """
+        reader = DERReader(data)
+        outer = reader.enter_sequence()
+        der = data[:len(data) - reader.remaining()]
+        signed = outer.read_raw()
+        tbs = DERReader(signed).enter_sequence()
 
         version = 1
         if not tbs.at_end() and tbs.peek_tag() == Tag.context(0):
@@ -300,7 +319,7 @@ class Certificate:
         signature_bytes, _unused = outer.read_bit_string()
         signature = int.from_bytes(signature_bytes, "big")
 
-        return cls(
+        certificate = cls(
             version=version,
             serial=serial,
             issuer=issuer,
@@ -313,6 +332,9 @@ class Certificate:
             not_before_secs=not_before_secs,
             not_after_secs=not_after_secs,
         )
+        certificate._der_cache["der"] = der
+        certificate._der_cache["tbs"] = signed
+        return certificate
 
     def __hash__(self) -> int:
         return hash(self.fingerprint)

@@ -1,8 +1,9 @@
 """Kernel-vs-oracle parity for every optimized analysis entry point.
 
-Each kernel in ``repro.core`` — and the CSR index behind the dataset's
-per-certificate accessors — must answer bitwise-identically to its
-reference implementation in ``tests/oracles``.  Three corpora carry the
+Each kernel in ``repro.core`` — the CSR index behind the dataset's
+per-certificate accessors, and the §5 census read from the feature
+matrix — must answer bitwise-identically to its reference
+implementation in ``tests/oracles``.  Three corpora carry the
 comparison: the randomized ``random_corpus`` (shared keys, colliding
 values, multi-homed and never-observed certificates), the tiny synthetic
 world, and a small world that collects TLS handshakes.  A hypothesis
@@ -14,6 +15,9 @@ luck cannot hide a divergence.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.analysis.issuers import self_signed_fraction, top_issuers
+from repro.core.analysis.keys import key_sharing
+from repro.core.analysis.longevity import lifetimes, validity_periods
 from repro.core.consistency import evaluate_link_result, group_consistency
 from repro.core.dedup import classify_unique_certificates
 from repro.core.features import Feature, absence_rates, non_uniqueness_census
@@ -23,8 +27,19 @@ from repro.core.pipeline import iterative_link, lifetime_improvement
 from repro.core.validation import validate_dataset
 from repro.datasets.synthetic import generate
 from repro.internet.population import WorldConfig
+from repro.io.artifacts import ArtifactCache
+from repro.scanner.dataset import ScanDataset
+from repro.serve.engine import _census_aggregates
 from repro.x509.truststore import TrustStore
 
+from ..oracles.census import (
+    naive_census_aggregates,
+    naive_key_sharing,
+    naive_lifetimes,
+    naive_self_signed_fraction,
+    naive_top_issuers,
+    naive_validity_periods,
+)
 from ..oracles.kernels import (
     naive_absence_rates,
     naive_classify,
@@ -156,6 +171,78 @@ def test_iterative_link_and_lifetimes(case):
 
 def test_index_answers(case):
     verify_index_parity(case[0])
+
+
+# --- §5 census from the feature matrix ----------------------------------------
+
+def _populations(dataset, population):
+    """The whole table (never-observed certificates included), a strided
+    half of it, and the observed certificates in ascending order."""
+    observed = sorted(fp for fp in population if dataset.scan_indexes_of(fp))
+    return [population, population[::2], observed]
+
+
+def test_census_functions(case):
+    dataset, _, _, population = case
+    for fingerprints in _populations(dataset, population):
+        assert validity_periods(dataset, fingerprints) == \
+            naive_validity_periods(dataset, fingerprints)
+        assert key_sharing(dataset, fingerprints) == \
+            naive_key_sharing(dataset, fingerprints)
+        assert self_signed_fraction(dataset, fingerprints) == \
+            naive_self_signed_fraction(dataset, fingerprints)
+        for n in (1, 5, 50):
+            assert top_issuers(dataset, fingerprints, n) == \
+                naive_top_issuers(dataset, fingerprints, n)
+
+
+def test_lifetimes_and_census_aggregates(case):
+    dataset, _, _, population = case
+    # Lifetimes need a sighting: both sides raise KeyError on a
+    # never-observed certificate, so they run over the rest.
+    observed = _populations(dataset, population)[-1]
+    for fingerprints in (observed, observed[1::3]):
+        assert lifetimes(dataset, fingerprints) == \
+            naive_lifetimes(dataset, fingerprints)
+        assert _census_aggregates(dataset, fingerprints) == \
+            naive_census_aggregates(dataset, fingerprints)
+    never = sorted(set(population) - set(observed))
+    for census in (lifetimes, naive_lifetimes,
+                   _census_aggregates, naive_census_aggregates):
+        for fingerprint in never:
+            with pytest.raises(KeyError):
+                census(dataset, [fingerprint])
+
+
+def _assert_self_signed_column(matrix, certificates):
+    assert len(matrix.self_signed) == len(certificates)
+    for fingerprint, certificate in certificates.items():
+        assert matrix.self_signed[matrix.rows[fingerprint]] == \
+            certificate.is_self_signed()
+
+
+def test_self_signed_column(case):
+    dataset = case[0]
+    _assert_self_signed_column(dataset.feature_matrix, dataset.certificates)
+    assert any(dataset.feature_matrix.self_signed)
+
+
+@pytest.mark.parametrize("order", ["stored", "reversed"])
+def test_self_signed_column_after_rpa_decode(case, order, tmp_path):
+    dataset = case[0]
+    writer = ScanDataset(list(dataset.scans), dict(dataset.certificates))
+    writer.index, writer.intervals, writer.feature_matrix
+    cache = ArtifactCache(tmp_path)
+    cache.store(writer)
+    # A reversed certificate table takes _decode_matrix's reordering
+    # branch (stored != wanted); the digest pins only the set.
+    certificates = dict(dataset.certificates)
+    if order == "reversed":
+        certificates = dict(reversed(certificates.items()))
+    reader = ScanDataset(list(dataset.scans), certificates)
+    assert cache.load(reader).kernels
+    assert reader.feature_matrix.fingerprints == list(certificates)
+    _assert_self_signed_column(reader.feature_matrix, certificates)
 
 
 # --- property: arbitrary hand-built corpora ---------------------------------

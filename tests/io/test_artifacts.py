@@ -1,5 +1,7 @@
 """Tests for the content-addressed artifact cache (repro.io.artifacts)."""
 
+import pickle
+
 import repro.io.artifacts as artifacts_mod
 from repro.core.kernels import FeatureMatrix
 from repro.io import ArtifactCache, load_dataset, save_dataset
@@ -181,6 +183,32 @@ class TestInvalidation:
         assert registry.counters.get("artifacts.hit") == 1
 
 
+    def test_unknown_chain_fingerprint_invalidates_at_load(
+        self, tiny_synthetic, tmp_path
+    ):
+        cache = ArtifactCache(tmp_path)
+        cold = make_study(tiny_synthetic, fresh_dataset(tiny_synthetic), cache)
+        cold.dedup()
+        path = cache.path_for(cold.dataset.corpus_digest())
+        # Point the first chain link at a certificate nobody holds: the
+        # load must reject the section, not a later verdict read.
+        entry = SegmentReader(path).entry("val.chain_fps")
+        blob = bytearray(path.read_bytes())
+        blob[entry["offset"]:entry["offset"] + 32] = b"\xee" * 32
+        path.write_bytes(bytes(blob))
+
+        registry = MetricsRegistry()
+        with obs_runtime.activated(Tracer(), registry):
+            loaded = cache.load(
+                fresh_dataset(tiny_synthetic),
+                trust_store=tiny_synthetic.world.trust_store,
+            )
+        assert loaded.kernels
+        assert loaded.validation is None
+        assert registry.counters.get("artifacts.invalidated") == 1
+        assert registry.counters.get("artifacts.hit") == 1
+
+
 class TestShardedBuilds:
     def test_sharded_columns_bitwise_equal_serial(self, tiny_synthetic):
         scans = tiny_synthetic.scans.scans
@@ -223,6 +251,18 @@ class TestParityAndRemap:
             warm.dataset, tiny_synthetic.world.trust_store
         )
         assert dedup == naive_classify(warm.dataset, warm.invalid)
+
+    def test_loaded_report_pickles(self, tiny_synthetic, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        built = make_study(
+            tiny_synthetic, fresh_dataset(tiny_synthetic), cache
+        ).validation()
+        loaded = make_study(
+            tiny_synthetic, fresh_dataset(tiny_synthetic), cache
+        ).validation()
+        assert not isinstance(loaded.results, dict)  # decodes on read
+        assert pickle.loads(pickle.dumps(loaded)) == built
+        assert loaded == built
 
     def test_matrix_rows_remap_to_loader_cert_order(
         self, tiny_synthetic, tmp_path

@@ -9,7 +9,11 @@ benchmarks can time it as their baseline:
   (dedup, census, absence, grouping, linking, consistency, lifetimes)
   and the unmemoized §4.2 validation;
 * :mod:`tests.oracles.rows` — the row-at-a-time scan emitter, the
-  generation parity check against it, and the row-walk index check.
+  generation parity check against it, and the row-walk index check;
+* :mod:`tests.oracles.census` — the per-certificate §5 census (validity
+  periods, lifetimes, key sharing, issuers, the self-signed share, and
+  the fleet's census partials), which parses every certificate it
+  counts.
 
 Nothing in ``src/`` imports these modules.
 """

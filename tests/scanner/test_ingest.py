@@ -209,6 +209,7 @@ def _assert_kernels_bitwise_equal(grown, cold):
         assert column.tobytes() == cold_matrix.raw_ids[feature].tobytes()
     for feature, column in matrix.linkable_ids.items():
         assert column.tobytes() == cold_matrix.linkable_ids[feature].tobytes()
+    assert matrix.self_signed.tobytes() == cold_matrix.self_signed.tobytes()
 
 
 class TestExtendedKernels:
@@ -240,6 +241,27 @@ class TestExtendedKernels:
             assert pickle.dumps(left.values, 4) == pickle.dumps(right.values, 4)
             for feature, column in left.raw_ids.items():
                 assert column.tobytes() == right.raw_ids[feature].tobytes()
+
+    def test_self_signed_column_over_a_three_day_chain(
+        self, world, campaigns, tmp_path
+    ):
+        # Each append checks self-signatures for the new certificates
+        # only and copies every base row's flag.
+        _write(world, campaigns, tmp_path / "base.rpz", set(DAYS[:-3]))
+        grown = load_dataset(tmp_path / "base.rpz")
+        grown.index, grown.intervals, grown.feature_matrix
+        for day in DAYS[-3:]:
+            shards, day_certs = _day_shards(world, campaigns, {day})
+            grown = grown.extend_from_shard(
+                shards, day_certs, tmp_path / f"day{day}.rpz"
+            )
+            matrix = grown._feature_matrix
+            assert len(matrix.self_signed) == len(grown.certificates)
+            for fingerprint, certificate in grown.certificates.items():
+                assert matrix.self_signed[matrix.rows[fingerprint]] == \
+                    certificate.is_self_signed()
+        cold = load_dataset(tmp_path / f"day{DAYS[-1]}.rpz")
+        _assert_kernels_bitwise_equal(grown, cold)
 
     def test_extend_requires_mapped_dataset(self, corpus, tmp_path):
         base = load_dataset(corpus["base"])

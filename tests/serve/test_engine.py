@@ -2,6 +2,7 @@
 
 import json
 import random
+import shutil
 
 import pytest
 
@@ -9,8 +10,21 @@ from repro.core.features import Feature
 from repro.core.kernels import fused_group_consistency
 from repro.core.linking import link_on_feature
 from repro.core.tracking import summarize_as_assignment
+from repro.io import ArtifactCache
+from repro.io.encoding import SegmentReader, SegmentWriter
+from repro.obs import runtime as obs_runtime
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.serve import QueryEngine, QueryError
 from repro.serve.engine import _format_ip, _parse_ip
+
+from ..oracles.census import (
+    naive_key_sharing,
+    naive_lifetimes,
+    naive_self_signed_fraction,
+    naive_top_issuers,
+    naive_validity_periods,
+)
 
 
 def _payload(engine, path):
@@ -141,14 +155,9 @@ class TestTrackParity:
 
 
 class TestCensusParity:
-    def test_headline_numbers_match_study(self, engine, oracle):
-        from repro.core.analysis.issuers import (
-            self_signed_fraction,
-            top_issuers,
-        )
-        from repro.core.analysis.keys import key_sharing
-        from repro.core.analysis.longevity import lifetimes, validity_periods
-
+    def test_headline_numbers_match_oracles(self, engine, oracle):
+        # The oracle Study shares the census code under test, so the
+        # per-certificate census oracles carry the comparison.
         validation = oracle.validation()
         payload = _payload(engine, "/census")
         assert payload["considered"] == validation.considered
@@ -161,22 +170,22 @@ class TestCensusParity:
             stats = payload[name]
             assert stats["n"] == len(population)
             assert stats["validity_median_days"] == pytest.approx(
-                validity_periods(oracle.dataset, population).median
+                naive_validity_periods(oracle.dataset, population).median
             )
-            lifetime = lifetimes(oracle.dataset, population)
+            lifetime = naive_lifetimes(oracle.dataset, population)
             assert stats["lifetime_median_days"] == \
                 pytest.approx(lifetime.median_days)
             assert stats["single_scan_fraction"] == \
                 pytest.approx(lifetime.single_scan_fraction)
             assert stats["key_shared_fraction"] == pytest.approx(
-                key_sharing(oracle.dataset, population).shared_fraction
+                naive_key_sharing(oracle.dataset, population).shared_fraction
             )
             assert stats["self_signed_fraction"] == pytest.approx(
-                self_signed_fraction(oracle.dataset, population)
+                naive_self_signed_fraction(oracle.dataset, population)
             )
             assert stats["top_issuers"] == [
                 [issuer, count] for issuer, count in
-                top_issuers(oracle.dataset, population)
+                naive_top_issuers(oracle.dataset, population)
             ]
 
     def test_slice_equals_full_census_section(self, engine):
@@ -186,6 +195,79 @@ class TestCensusParity:
             expected = dict(census[name])
             expected.update(population=name, digest=census["digest"])
             assert piece == expected
+
+
+def _rewrite_artifact(path, schema=None, drop=()):
+    """Rewrite an artifact in place under another schema or without some
+    segments, copying every other segment's raw bytes."""
+    reader = SegmentReader(path)
+    meta = dict(reader.meta)
+    if schema is not None:
+        meta["schema"] = schema
+    tmp = path.with_name(path.name + ".tmp")
+    writer = SegmentWriter(tmp, meta=meta)
+    for name in reader.names():
+        if name in drop:
+            continue
+        entry = reader.entry(name)
+        writer.add_chunks(
+            name, (reader.raw(name),), kind=entry["kind"],
+            typecode=entry.get("typecode"), stride=entry.get("stride"),
+        )
+    writer.close()
+    reader.close()
+    tmp.replace(path)
+
+
+class TestWarmBoot:
+    """A boot over a warm cache answers the census without parsing."""
+
+    def _open(self, serve_paths, cache_dir):
+        return QueryEngine.open(
+            serve_paths["corpus"], serve_paths["environment"],
+            cache_dir=str(cache_dir),
+        )
+
+    def test_warm_boot_parses_no_certificate(self, serve_paths, engine):
+        registry = MetricsRegistry()
+        with obs_runtime.activated(Tracer(), registry):
+            booted = self._open(serve_paths, serve_paths["cache"]).warm()
+            sample = json.loads(booted.respond("/sample"))
+            paths = ["/census", "/census/valid", "/census/invalid"] + [
+                f"/key/{key}/group" for key in sample["keys"][:3]
+            ]
+            for path in paths:
+                assert booted.respond(path) == engine.respond(path)
+            assert registry.counters.get("io.der_parse_total", 0) == 0
+            assert registry.counters["artifacts.hit"] == 2
+
+            # One verdict read afterwards parses at most its own chain.
+            validation = booted.study.validation()
+            fingerprint = sorted(validation.valid)[0]
+            booted.respond(f"/cert/{fingerprint.hex()}")
+            chain = validation.results[fingerprint].chain
+            assert chain
+            assert 1 <= registry.counters["io.der_parse_total"] <= len(chain)
+        booted.close()
+
+    @pytest.mark.parametrize("damage", ["schema-2", "no-self-signed-column"])
+    def test_old_bundle_is_rebuilt(self, serve_paths, engine, tmp_path, damage):
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(serve_paths["cache"], cache_dir)
+        path = ArtifactCache(cache_dir).path_for(engine.digest)
+        _rewrite_artifact(
+            path, schema=2 if damage == "schema-2" else None,
+            drop=("matrix.self_signed",),
+        )
+        registry = MetricsRegistry()
+        with obs_runtime.activated(Tracer(), registry):
+            rebuilt = self._open(serve_paths, cache_dir)
+            assert rebuilt.respond("/census") == engine.respond("/census")
+        rebuilt.close()
+        assert registry.counters["artifacts.invalidated"] == (
+            2 if damage == "schema-2" else 1
+        )
+        assert "matrix.self_signed" in SegmentReader(path)
 
 
 class TestResultCache:

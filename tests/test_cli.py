@@ -246,6 +246,51 @@ class TestCorruptContainers:
         assert capsys.readouterr().err.startswith(f"repro: {path}: ")
 
 
+class TestMissingPaths:
+    """A missing corpus or environment is one line, not a traceback."""
+
+    def _assert_no_such_file(self, capsys, argv, path):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"repro: {path}: no such file"]
+
+    def test_info(self, tmp_path, capsys):
+        path = tmp_path / "absent.rpz"
+        self._assert_no_such_file(capsys, ["info", str(path)], path)
+
+    def test_census(self, saved_corpus, tmp_path, capsys):
+        _, environment = saved_corpus
+        path = tmp_path / "absent.rpz"
+        self._assert_no_such_file(
+            capsys,
+            ["census", "--corpus", str(path),
+             "--environment", str(environment)],
+            path,
+        )
+
+    def test_serve(self, saved_corpus, tmp_path, capsys):
+        _, environment = saved_corpus
+        path = tmp_path / "absent.rpz"
+        self._assert_no_such_file(
+            capsys,
+            ["serve", str(path), "--environment", str(environment),
+             "--max-seconds", "0.5", "--no-cache"],
+            path,
+        )
+
+    @pytest.mark.parametrize("command", ["census", "serve"])
+    def test_environment(self, saved_corpus, tmp_path, capsys, command):
+        corpus, _ = saved_corpus
+        path = tmp_path / "absent.rpe"
+        argv = (
+            ["census", "--corpus", str(corpus), "--environment", str(path)]
+            if command == "census" else
+            ["serve", str(corpus), "--environment", str(path),
+             "--max-seconds", "0.5", "--no-cache"]
+        )
+        self._assert_no_such_file(capsys, argv, path)
+
+
 class TestObservability:
     def test_link_with_trace_and_metrics(self, saved_corpus, tmp_path, capsys):
         corpus, environment = saved_corpus

@@ -1,10 +1,12 @@
 """Tests for the certificate model, builder, names, and extensions."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.x509.certificate as certificate_mod
 from repro.simtime import date_to_day
 from repro.x509 import (
     AuthorityInfoAccess,
@@ -22,6 +24,9 @@ from repro.x509 import (
     SubjectKeyIdentifier,
     generate_keypair,
 )
+from repro.x509.asn1 import encode_oid
+from repro.x509.certificate import tbs_der
+from repro.x509.oid import SIG_SHA256_RSA
 
 import datetime
 
@@ -263,6 +268,66 @@ class TestCertificate:
         keypair = generate_keypair(random.Random(5))
         cert = build_device_cert(keypair, cn=cn, days=days, serial=serial)
         assert Certificate.from_der(cert.to_der()) == cert
+
+
+def _encode_tbs(cert):
+    """The module-level encoder over a certificate's parsed fields."""
+    return tbs_der(
+        cert.version, cert.serial, cert.issuer, cert.subject,
+        cert.not_before, cert.not_after, cert.public_key, cert.extensions,
+        cert.not_before_secs, cert.not_after_secs,
+    )
+
+
+def _forbid_encoding(monkeypatch):
+    def encode(*args, **kwargs):
+        raise AssertionError("re-encoded a certificate")
+
+    monkeypatch.setattr(certificate_mod, "tbs_der", encode)
+
+
+class TestSignedBytes:
+    """Parsed and signed certificates keep the exact bytes that were signed."""
+
+    def test_tiny_corpus_keeps_exact_bytes(self, tiny_synthetic):
+        for certificate in tiny_synthetic.scans.certificates.values():
+            der = certificate.to_der()
+            parsed = Certificate.from_der(der)
+            assert parsed.to_der() == der
+            assert parsed.fingerprint == hashlib.sha256(der).digest()
+            # The kept slice and the encoder agree, so the encoder
+            # cannot drift from what the corpus holds unnoticed.
+            assert parsed.tbs_der() == _encode_tbs(parsed)
+
+    def test_parsed_certificate_never_re_encodes(self, keypair, monkeypatch):
+        der = build_device_cert(keypair).to_der()
+        parsed = Certificate.from_der(der)
+        _forbid_encoding(monkeypatch)
+        assert parsed.to_der() == der
+        assert parsed.fingerprint == hashlib.sha256(der).digest()
+        assert parsed.is_self_signed()
+
+    def test_flipped_tbs_byte_breaks_self_signature(self, keypair):
+        cert = build_device_cert(keypair)
+        der = bytearray(cert.to_der())
+        # The TBS's own signature-algorithm OID comes first; the parser
+        # does not model it, so a flip there leaves every field intact
+        # and only the signed bytes can tell.
+        oid = encode_oid(SIG_SHA256_RSA)
+        der[der.index(oid) + len(oid) - 1] ^= 0x01
+        tampered = Certificate.from_der(bytes(der))
+        assert tampered == cert
+        assert cert.is_self_signed()
+        assert not tampered.is_self_signed()
+
+    def test_sign_keeps_the_body_it_signed(self, keypair, monkeypatch):
+        cert = build_device_cert(keypair)
+        body = _encode_tbs(cert)
+        _forbid_encoding(monkeypatch)
+        assert cert.tbs_der() == body
+        assert keypair.public.verify(cert.tbs_der(), cert.signature)
+        assert cert.is_self_signed()
+        assert Certificate.from_der(cert.to_der()).tbs_der() == body
 
 
 class TestBuilderValidation:
