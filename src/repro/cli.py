@@ -742,17 +742,17 @@ def _cmd_top(args) -> int:
     return 0
 
 
-async def _serve_main(engine, live, host, port, max_seconds) -> None:
+async def _serve_until_signal(server, routes: str, max_seconds) -> None:
+    """Start ``server``, print its URL, serve until SIGINT/SIGTERM.
+
+    ``max_seconds`` (when not ``None``) stops it on its own.
+    """
     import asyncio
     import signal
     from contextlib import suppress
 
-    from .serve import QueryServer
-
-    server = await QueryServer(engine, live=live, host=host, port=port).start()
-    print(f"serving queries at {server.url} "
-          f"(/cert /key /track /census /sample /metrics /healthz /vars)",
-          flush=True)
+    await server.start()
+    print(f"serving queries at {server.url} ({routes})", flush=True)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -776,7 +776,7 @@ def _cmd_serve(args) -> int:
     from .obs import LatencyRecorder, LiveServer, MetricsRegistry, \
         ResourceSampler, Tracer
     from .obs import runtime as obs_runtime
-    from .serve import QueryEngine
+    from .serve import QueryEngine, QueryServer
 
     host, port = _parse_endpoint(args.listen)
     cache_dir = None if args.no_cache else args.cache_dir
@@ -798,12 +798,15 @@ def _cmd_serve(args) -> int:
             "digest": engine.digest,
             "workers": args.workers,
         })
-        live = LiveServer(trace, metrics, health=health, host=host, port=port)
+        live = LiveServer(trace, metrics, health=health)
+        server = QueryServer(engine, live=live, host=host, port=port)
         sampler.start()
         try:
-            asyncio.run(
-                _serve_main(engine, live, host, port, args.max_seconds)
-            )
+            asyncio.run(_serve_until_signal(
+                server,
+                "/cert /key /track /census /sample /metrics /healthz /vars",
+                args.max_seconds,
+            ))
         except KeyboardInterrupt:
             pass
         finally:
@@ -872,33 +875,6 @@ def _cmd_split(args) -> int:
     return 0
 
 
-async def _fleet_main(router, n_shards: int, max_seconds) -> None:
-    import asyncio
-    import signal
-    from contextlib import suppress
-
-    await router.start()
-    print(f"serving queries at {router.url} "
-          f"(fleet router over {n_shards} shards: "
-          f"/cert /key /track /census /sample /as /metrics /healthz)",
-          flush=True)
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-    try:
-        if max_seconds is not None:
-            with suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(stop.wait(), timeout=max_seconds)
-        else:
-            await stop.wait()
-    finally:
-        await router.stop()
-
-
 def _cmd_fleet(args) -> int:
     import asyncio
     import pathlib
@@ -939,7 +915,12 @@ def _cmd_fleet(args) -> int:
         print(f"  shard {shard} at {url}", flush=True)
     try:
         router = FleetRouter(manifest, urls, host=host, port=port)
-        asyncio.run(_fleet_main(router, len(urls), args.max_seconds))
+        asyncio.run(_serve_until_signal(
+            router,
+            f"fleet router over {len(urls)} shards: /cert /key /track "
+            f"/census /sample /as /metrics /healthz /vars",
+            args.max_seconds,
+        ))
     except KeyboardInterrupt:
         pass
     finally:

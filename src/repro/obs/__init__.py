@@ -14,8 +14,11 @@ Batch layers, all importable from here:
 Live layers, for long-running processes:
 
 * :mod:`~repro.obs.live`      — :class:`LiveServer` (``/metrics``,
-  ``/healthz``, ``/vars`` over stdlib HTTP), :class:`LatencyRecorder`,
+  ``/healthz``, ``/vars`` over HTTP), :class:`LatencyRecorder`,
   and the ``repro top`` frame renderer;
+* :mod:`~repro.obs.httpcore`  — the one stdlib asyncio HTTP/1.1 core
+  (connection loop and keep-alive client) under the live plane, the
+  query plane and the fleet router;
 * :mod:`~repro.obs.resources` — ``/proc`` readers and the background
   :class:`ResourceSampler` publishing ``process.*`` gauges.
 

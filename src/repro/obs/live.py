@@ -3,8 +3,10 @@
 Batch runs export their trace/metrics *after* the fact (``--trace``,
 ``--metrics``).  Long-running processes — the ``repro ingest --watch``
 daemon, the future ``repro serve`` — need the inverse: a way to look at
-a process that has not finished.  :class:`LiveServer` is that window, a
-stdlib-threaded HTTP endpoint bound to an explicit tracer/registry pair:
+a process that has not finished.  :class:`LiveServer` is that window, an
+HTTP endpoint bound to an explicit tracer/registry pair, served by the
+:mod:`~repro.obs.httpcore` loop on an event loop of its own (a daemon
+thread), so a synchronous owner needs no asyncio:
 
 * ``GET /metrics``  — the registry in Prometheus exposition format
   (:func:`~repro.obs.export.prometheus_text`), scrapeable by anything;
@@ -32,14 +34,15 @@ pipeline's hot path knows the plane exists.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 
 from .export import prometheus_text
+from .httpcore import HTTPServer, Response, json_error
 from .metrics import MetricsRegistry, estimate_quantile
 from .trace import Span, Tracer
 
@@ -89,7 +92,7 @@ def _histogram_summary(cell) -> dict:
 
 
 class LiveServer:
-    """Threaded HTTP endpoint exposing a tracer/registry pair live.
+    """HTTP endpoint exposing a tracer/registry pair live.
 
     Bound to explicit objects, not the process-wide runtime state, so a
     test can run several servers side by side.  ``health`` is a caller-
@@ -115,9 +118,10 @@ class LiveServer:
         self.port = port
         self.span_tail = span_tail
         self.requests = 0
-        self._started: Optional[float] = None
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._started = time.time()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
+        self._http: Optional[HTTPServer] = None
 
     # --- endpoint payloads -----------------------------------------------------
 
@@ -131,9 +135,7 @@ class LiveServer:
             "status": "ok",
             "pid": os.getpid(),
             "process": self.tracer.process,
-            "uptime_seconds": (
-                round(time.time() - self._started, 3) if self._started else 0.0
-            ),
+            "uptime_seconds": round(time.time() - self._started, 3),
             "spans_completed": self.tracer.completed_total,
             "last_span": None if last is None else {
                 "name": last.name,
@@ -162,12 +164,12 @@ class LiveServer:
     def handle_path(self, path: str) -> "Optional[tuple[bytes, str]]":
         """Route one observability path to ``(body, content_type)``.
 
-        The single routing table behind both transports: the threaded
-        handler below and the asyncio query plane (``repro.serve.http``)
-        call this, so the two servers cannot drift.  Returns ``None``
-        for paths the plane does not own (the caller 404s, or falls
-        through to its own routes); exceptions propagate (the caller
-        maps them to 500).
+        The single routing table behind every mount of the plane: this
+        server's own listener, the query plane (``repro.serve.http``)
+        and the fleet router call it, so they cannot drift.  Returns
+        ``None`` for paths the plane does not own (the caller 404s, or
+        falls through to its own routes); exceptions propagate (the
+        caller maps them to 500).
         """
         path = path.split("?", 1)[0]
         if path == "/metrics":
@@ -187,45 +189,33 @@ class LiveServer:
             )
         return None
 
+    async def _respond(self, method: str, target: str) -> Response:
+        self.requests += 1
+        if method != "GET":
+            return json_error(405, f"method not served: {method}")
+        routed = self.handle_path(target)
+        if routed is None:
+            return json_error(404, f"unknown endpoint: {target}")
+        return (200, *routed)
+
     # --- lifecycle -------------------------------------------------------------
 
     def start(self) -> "LiveServer":
-        if self._httpd is not None:
+        """Bind and serve on a daemon thread running its own event loop."""
+        if self._loop is not None:
             raise RuntimeError("server already started")
-        plane = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - http.server protocol
-                plane.requests += 1
-                try:
-                    routed = plane.handle_path(self.path)
-                    if routed is None:
-                        self.send_error(404, "unknown endpoint")
-                        return
-                    body, ctype = routed
-                except Exception as exc:  # pragma: no cover - defensive
-                    self.send_error(500, str(exc))
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:
-                """Scrapes must not spam the daemon's stderr."""
-
-        self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
-        self._httpd.daemon_threads = True
-        self.port = self._httpd.server_address[1]
-        self._started = time.time()
+        self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="repro-obs-live",
-            daemon=True,
+            target=self._loop.run_forever, name="repro-obs-live", daemon=True
         )
         self._thread.start()
+        self._http = HTTPServer(self._respond, self.host, self.port)
+        try:
+            asyncio.run_coroutine_threadsafe(self._http.start(), self._loop).result()
+        except BaseException:
+            self.stop()
+            raise
+        self.port = self._http.port
         return self
 
     @property
@@ -233,14 +223,15 @@ class LiveServer:
         return f"http://{self.host}:{self.port}"
 
     def stop(self) -> None:
-        """Shut the listener down (idempotent)."""
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
+        """Shut the listener and its loop down (idempotent)."""
+        loop, self._loop = self._loop, None
+        if loop is None:
+            return
+        asyncio.run_coroutine_threadsafe(self._http.stop(), loop).result()
+        loop.call_soon_threadsafe(loop.stop)
+        self._thread.join(timeout=2.0)
+        loop.close()
+        self._thread = self._http = None
 
 
 def render_top(

@@ -6,8 +6,8 @@ questions online, over the zero-copy mapped corpus:
 * :mod:`repro.serve.engine` — :class:`QueryEngine`, the transport-free
   query core: endpoint payloads, the digest-keyed result LRU, and the
   process-pool fan-out for heavy queries;
-* :mod:`repro.serve.http` — :class:`QueryServer`, a stdlib asyncio
-  HTTP/1.1 front end with keep-alive, reusing the live observability
+* :mod:`repro.serve.http` — :class:`QueryServer`, the query routes
+  mounted on the shared HTTP/1.1 core, reusing the live observability
   plane's ``/metrics`` / ``/healthz`` / ``/vars`` routes;
 * :mod:`repro.serve.loadgen` — the closed-loop load generator behind
   ``repro loadgen`` and ``benchmarks/bench_perf_serve.py``;
@@ -15,6 +15,10 @@ questions online, over the zero-copy mapped corpus:
   front tier behind ``repro fleet``: consistent point routing over the
   ``owners.rpo`` sidecar plus exact scatter-gather merges, byte-
   identical to a single server over the whole corpus.
+
+The transport under all three is :mod:`repro.obs.httpcore`: one stdlib
+asyncio connection loop and one keep-alive client, shared with the
+watch daemon's live plane.
 """
 
 from .engine import QueryEngine, QueryError

@@ -1,9 +1,10 @@
-"""The asyncio HTTP/1.1 shell over :class:`~repro.serve.engine.QueryEngine`.
+"""The query plane's routes over :class:`~repro.serve.engine.QueryEngine`.
 
-Stdlib only, like :mod:`repro.obs.live` — but built on ``asyncio`` with
-keep-alive connections, because the serve workload is thousands of
-small concurrent lookups where per-request connection setup would
-dominate.  The division of labor keeps the event loop unblocked:
+:class:`QueryServer` mounts one route coroutine, :meth:`_respond`, on
+the shared HTTP/1.1 core (:mod:`repro.obs.httpcore`: keep-alive, framing,
+400/431 refusals), because the serve workload is thousands of small
+concurrent lookups where per-request connection setup would dominate.
+The division of labor keeps the event loop unblocked:
 
 * responses already in the engine's LRU are written straight from the
   loop (a dict hit — no executor round trip, no serialization);
@@ -12,7 +13,7 @@ dominate.  The division of labor keeps the event loop unblocked:
   process pool — the loop keeps serving hot lookups meanwhile;
 * observability paths (``/metrics``, ``/healthz``, ``/vars``) are
   routed through the *same* :meth:`LiveServer.handle_path` table the
-  threaded plane uses, so the two transports cannot drift.
+  watch daemon's plane and the fleet router use, so they cannot drift.
 
 Every request bumps ``serve.requests`` (exported as
 ``repro_serve_requests_total``) and lands one sample in the
@@ -26,21 +27,16 @@ whatever sinks the active tracer wears.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..obs import runtime as obs_runtime
+from ..obs.httpcore import HTTPServer, Response, json_error
 from ..obs.live import LATENCY_BUCKETS_MS, LiveServer
 from ..obs.metrics import MetricsRegistry
 from .engine import QueryEngine, QueryError
 
 __all__ = ["QueryServer"]
-
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 500: "Internal Server Error",
-}
 
 #: Endpoint labels with their own latency family; anything else lands
 #: in ``other`` so arbitrary request paths cannot mint new metrics.
@@ -78,7 +74,7 @@ def _record_span(
     span.__exit__(None, None, None)
 
 
-class QueryServer:
+class QueryServer(HTTPServer):
     """One listening query plane over one engine."""
 
     def __init__(
@@ -88,97 +84,18 @@ class QueryServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(self._respond, host, port)
         self.engine = engine
         self.live = live
         self.registry = (
             live.registry if live is not None else MetricsRegistry()
         )
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-
-    # --- lifecycle -------------------------------------------------------------
-
-    async def start(self) -> "QueryServer":
-        if self._server is not None:
-            raise RuntimeError("server already started")
-        self._server = await asyncio.start_server(
-            self._connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if self.live is not None and self.live._started is None:
-            # The live plane's own thread never starts here — this
-            # server fronts its routes — but /healthz uptime should
-            # still tick from serve boot.
-            self.live._started = time.time()
-        return self
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None
-        await self._server.serve_forever()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         self.engine.close()
 
-    # --- protocol --------------------------------------------------------------
-
-    async def _connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
-                try:
-                    method, target, *rest = (
-                        request_line.decode("latin-1").split()
-                    )
-                except ValueError:
-                    break
-                keep_alive = not rest or rest[0] != "HTTP/1.0"
-                while True:
-                    header = await reader.readline()
-                    if header in (b"", b"\r\n", b"\n"):
-                        break
-                    lowered = header.lower()
-                    if lowered.startswith(b"connection:"):
-                        keep_alive = b"close" not in lowered
-                status, body, ctype = await self._respond(method, target)
-                connection = "keep-alive" if keep_alive else "close"
-                writer.write(
-                    (
-                        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                        f"Content-Type: {ctype}\r\n"
-                        f"Content-Length: {len(body)}\r\n"
-                        f"Connection: {connection}\r\n\r\n"
-                    ).encode() + body
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _respond(
-        self, method: str, target: str
-    ) -> Tuple[int, bytes, str]:
+    async def _respond(self, method: str, target: str) -> Response:
         started = time.perf_counter()
         endpoint = endpoint_of(target)
         self.registry.inc("serve.requests")
@@ -203,14 +120,12 @@ class QueryServer:
             return 200, body, "application/json"
         except QueryError as error:
             self.registry.inc("serve.errors")
-            status = error.status
-            body = (json.dumps({"error": error.message}) + "\n").encode()
-            return status, body, "application/json"
+            status, body, ctype = json_error(error.status, error.message)
+            return status, body, ctype
         except Exception as error:  # pragma: no cover - defensive
             self.registry.inc("serve.errors")
-            status = 500
-            body = (json.dumps({"error": str(error)}) + "\n").encode()
-            return 500, body, "application/json"
+            status, body, ctype = json_error(500, str(error))
+            return status, body, ctype
         finally:
             self.registry.observe(
                 f"latency.serve.{endpoint}",

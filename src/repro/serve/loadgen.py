@@ -7,9 +7,10 @@ workload is seeded from the server's own ``/sample`` endpoint, so the
 generator needs nothing but a URL — the fingerprints, key ids, and
 addresses it queries are real members of the served corpus.
 
-Stdlib only (``asyncio`` streams); nearest-rank percentiles over the
-full latency vector, no sketching — a bench harness should gate on
-exact numbers.
+Each connection is one :class:`~repro.obs.httpcore.HTTPClient`, the
+core's keep-alive client (which reconnects once if the server drops the
+connection).  Nearest-rank percentiles over the full latency vector, no
+sketching — a bench harness should gate on exact numbers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import random
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from ..obs.httpcore import HTTPClient
 
 __all__ = ["LoadgenReport", "build_workload", "run_loadgen"]
 
@@ -71,51 +74,6 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[rank]
 
 
-def _parse_url(url: str) -> Tuple[str, int]:
-    stripped = url.split("://", 1)[-1].split("/", 1)[0]
-    host, _, port = stripped.rpartition(":")
-    if not host:
-        raise ValueError(f"loadgen needs host:port, got {url!r}")
-    return host, int(port)
-
-
-async def _fetch(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    path: str,
-) -> Tuple[int, bytes]:
-    """One GET on an open keep-alive connection."""
-    writer.write(
-        f"GET {path} HTTP/1.1\r\nHost: loadgen\r\n\r\n".encode()
-    )
-    await writer.drain()
-    status_line = await reader.readline()
-    if not status_line:
-        raise ConnectionError("server closed connection")
-    status = int(status_line.split()[1])
-    length = 0
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
-        if header.lower().startswith(b"content-length:"):
-            length = int(header.split(b":", 1)[1])
-    body = await reader.readexactly(length) if length else b""
-    return status, body
-
-
-async def _fetch_once(host: str, port: int, path: str) -> Tuple[int, bytes]:
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        return await _fetch(reader, writer, path)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
 def build_workload(
     sample: dict,
     requests: int,
@@ -156,8 +114,7 @@ def _route_of(path: str) -> str:
 
 
 async def _drive(
-    host: str,
-    port: int,
+    url: str,
     paths: Sequence[str],
     concurrency: int,
 ) -> Tuple[List[float], Dict[int, int], int, Dict[str, List[float]]]:
@@ -171,18 +128,11 @@ async def _drive(
 
     async def worker(share: Sequence[str]) -> None:
         nonlocal errors
-        if not share:
-            return
-        reader, writer = await asyncio.open_connection(host, port)
+        client = HTTPClient(url)
         try:
             for path in share:
                 started = perf_counter()
-                try:
-                    status, _ = await _fetch(reader, writer, path)
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    # Reconnect once; the request still counts.
-                    reader, writer = await asyncio.open_connection(host, port)
-                    status, _ = await _fetch(reader, writer, path)
+                status, _ = await client.get(path)
                 elapsed = (perf_counter() - started) * 1000.0
                 latencies.append(elapsed)
                 per_route.setdefault(_route_of(path), []).append(elapsed)
@@ -190,11 +140,7 @@ async def _drive(
                 if status >= 400:
                     errors += 1
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await client.close()
 
     await asyncio.gather(*(worker(share) for share in shares))
     return latencies, by_status, errors, per_route
@@ -208,15 +154,18 @@ async def run_loadgen_async(
     seed: int = 2016,
     paths: Optional[Sequence[str]] = None,
 ) -> LoadgenReport:
-    host, port = _parse_url(url)
     if paths is None:
-        status, body = await _fetch_once(host, port, "/sample")
+        client = HTTPClient(url)
+        try:
+            status, body = await client.get("/sample")
+        finally:
+            await client.close()
         if status != 200:
             raise RuntimeError(f"/sample returned HTTP {status}")
         paths = build_workload(json.loads(body), requests, mix, seed)
     started = perf_counter()
     latencies, by_status, errors, per_route = await _drive(
-        host, port, paths, concurrency
+        url, paths, concurrency
     )
     seconds = perf_counter() - started
     latencies.sort()

@@ -19,13 +19,16 @@ corpus:
 
 Upstream traffic rides per-shard keep-alive connection pools; each hop
 lands one sample in that shard's ``latency.router.upstream.shard<i>``
-histogram on ``/metrics``.  ``/healthz`` live-probes every shard and
-degrades (without refusing point lookups to surviving shards) when one
-is down.  At boot the router re-hashes every shard container against
-the digests recorded in ``fleet.json`` and refuses to start over a
-mismatch — byte parity is a promise about specific bytes.
+histogram.  A failed hop is a JSON 502 naming the shard, one past
+:data:`UPSTREAM_TIMEOUT_S` a 504.  ``/healthz`` live-probes every shard
+and degrades (without refusing point lookups to surviving shards) when
+one is down or hung; ``/metrics`` and ``/vars`` are the live plane's
+over the router's registry, so ``repro top`` watches a router too.  At
+boot the router re-hashes every shard container against the digests
+recorded in ``fleet.json`` and refuses to start over a mismatch — byte
+parity is a promise about specific bytes.
 
-Stdlib asyncio only, matching :mod:`repro.serve.http`.
+The routes mount on the HTTP/1.1 core (:mod:`repro.obs.httpcore`).
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.tracking import ASAssignmentStats
 from ..io.split import FleetManifest, FleetOwners, load_fleet_manifest, verify_fleet
-from ..obs.export import prometheus_text
-from ..obs.live import LATENCY_BUCKETS_MS
+from ..obs.httpcore import HTTPClient, HTTPServer, Response, json_error
+from ..obs.live import LATENCY_BUCKETS_MS, LiveServer
 from ..obs.metrics import MetricsRegistry
+from ..obs.trace import Tracer
 from .engine import (
     REASSIGNMENT_MIN_DEVICES,
     QueryError,
@@ -51,15 +55,11 @@ from .engine import (
     _parse_ip,
     _strided,
 )
-from .loadgen import _fetch, _parse_url
 
 __all__ = ["FleetRouter", "boot_fleet", "shutdown_fleet"]
 
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 500: "Internal Server Error",
-    502: "Bad Gateway", 503: "Service Unavailable",
-}
+#: Seconds one upstream hop may take before the router answers 504.
+UPSTREAM_TIMEOUT_S = 30.0
 
 #: /sample's population stride, matching ``QueryEngine.sample``.
 _SAMPLE_N = 256
@@ -230,54 +230,16 @@ def merge_as_reassignment(
     }
 
 
-# --- the upstream shard client ---------------------------------------------------
+class _ShardDown(QueryError):
+    """An upstream shard failed (502) or outlasted its deadline (504)."""
 
-class _ShardClient:
-    """One shard's keep-alive connection pool (asyncio streams)."""
-
-    def __init__(self, url: str) -> None:
-        self.url = url
-        self.host, self.port = _parse_url(url)
-        self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-
-    async def get(self, path: str) -> Tuple[int, bytes]:
-        """One GET; reuses an idle connection, reconnects once."""
-        pair = self._idle.pop() if self._idle else None
-        if pair is None:
-            pair = await asyncio.open_connection(self.host, self.port)
-        reader, writer = pair
-        try:
-            result = await _fetch(reader, writer, path)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            writer.close()
-            reader, writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-            result = await _fetch(reader, writer, path)
-        self._idle.append((reader, writer))
-        return result
-
-    async def close(self) -> None:
-        idle, self._idle = self._idle, []
-        for _, writer in idle:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-
-class _ShardDown(Exception):
-    """An upstream shard did not answer."""
-
-    def __init__(self, shard: int) -> None:
-        super().__init__(f"shard {shard} unavailable")
-        self.shard = shard
+    def __init__(self, shard: int, status: int, reason: str) -> None:
+        super().__init__(status, f"shard {shard} {reason}")
 
 
 # --- the router ------------------------------------------------------------------
 
-class FleetRouter:
+class FleetRouter(HTTPServer):
     """One listening front tier over a booted shard fleet."""
 
     DEFAULT_RESULT_CACHE = 1024
@@ -295,20 +257,22 @@ class FleetRouter:
                 f"fleet has {manifest.shards} shards, "
                 f"got {len(shard_urls)} shard URLs"
             )
+        super().__init__(self._respond, host, port)
         self.manifest = manifest
         self.digest = manifest.parent_digest
         self.owners = FleetOwners(manifest.owners_path)
-        self.clients = [_ShardClient(url) for url in shard_urls]
+        self.clients = [HTTPClient(url) for url in shard_urls]
         self.registry = MetricsRegistry()
-        self.host = host
-        self.port = port
+        self.live = LiveServer(
+            Tracer(process="fleet-router"), self.registry,
+            health={"role": "fleet-router", "parent_digest": self.digest},
+        )
+        self._started = time.time()
         self._results: "OrderedDict[str, Tuple[int, bytes]]" = OrderedDict()
         self._result_cache_size = (
             self.DEFAULT_RESULT_CACHE
             if result_cache_size is None else result_cache_size
         )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._started: Optional[float] = None
 
     @classmethod
     def open(
@@ -330,29 +294,8 @@ class FleetRouter:
 
     # --- lifecycle -------------------------------------------------------------
 
-    async def start(self) -> "FleetRouter":
-        if self._server is not None:
-            raise RuntimeError("router already started")
-        self._server = await asyncio.start_server(
-            self._connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started = time.time()
-        return self
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None
-        await self._server.serve_forever()
-
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         for client in self.clients:
             await client.close()
         self.owners.close()
@@ -361,18 +304,33 @@ class FleetRouter:
 
     async def _shard_get(self, shard: int, path: str) -> Tuple[int, bytes]:
         started = time.perf_counter()
+        # At the deadline the timer cancels this task, and the client
+        # closes the connection that cancellation interrupts.  A timer
+        # handle costs a fraction of asyncio.wait_for, and
+        # asyncio.timeout needs Python 3.11.
+        task, expired = asyncio.current_task(), []
+        deadline = asyncio.get_running_loop().call_later(
+            UPSTREAM_TIMEOUT_S, lambda: expired.append(task.cancel())
+        )
         try:
-            status, body = await self.clients[shard].get(path)
+            return await self.clients[shard].get(path)
+        except asyncio.CancelledError:
+            if not expired:
+                raise
+            self.registry.inc("router.upstream_errors")
+            raise _ShardDown(
+                shard, 504, f"timed out after {UPSTREAM_TIMEOUT_S:g}s"
+            ) from None
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             self.registry.inc("router.upstream_errors")
-            raise _ShardDown(shard)
+            raise _ShardDown(shard, 502, "unavailable") from None
         finally:
+            deadline.cancel()
             self.registry.observe(
                 f"latency.router.upstream.shard{shard}",
                 (time.perf_counter() - started) * 1000.0,
                 buckets=LATENCY_BUCKETS_MS,
             )
-        return status, body
 
     async def _scatter(self, path: str) -> List[dict]:
         """``path`` on every shard; parsed JSON bodies, shard order."""
@@ -478,10 +436,7 @@ class FleetRouter:
             "status": "ok" if all(alive) else "degraded",
             "role": "fleet-router",
             "parent_digest": self.digest,
-            "uptime_seconds": (
-                round(time.time() - self._started, 3)
-                if self._started else 0.0
-            ),
+            "uptime_seconds": round(time.time() - self._started, 3),
             "shards": [
                 {
                     "shard": shard,
@@ -496,87 +451,27 @@ class FleetRouter:
 
     # --- protocol ---------------------------------------------------------------
 
-    async def _connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
-                try:
-                    method, target, *rest = (
-                        request_line.decode("latin-1").split()
-                    )
-                except ValueError:
-                    break
-                keep_alive = not rest or rest[0] != "HTTP/1.0"
-                while True:
-                    header = await reader.readline()
-                    if header in (b"", b"\r\n", b"\n"):
-                        break
-                    lowered = header.lower()
-                    if lowered.startswith(b"connection:"):
-                        keep_alive = b"close" not in lowered
-                status, body, ctype = await self._respond(method, target)
-                connection = "keep-alive" if keep_alive else "close"
-                writer.write(
-                    (
-                        f"HTTP/1.1 {status} "
-                        f"{_REASONS.get(status, 'OK')}\r\n"
-                        f"Content-Type: {ctype}\r\n"
-                        f"Content-Length: {len(body)}\r\n"
-                        f"Connection: {connection}\r\n\r\n"
-                    ).encode() + body
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _respond(
-        self, method: str, target: str
-    ) -> Tuple[int, bytes, str]:
+    async def _respond(self, method: str, target: str) -> Response:
         started = time.perf_counter()
         self.registry.inc("router.requests")
         try:
             if method != "GET":
                 raise QueryError(405, f"method not served: {method}")
             path = target.split("?", 1)[0]
-            if path == "/metrics":
-                return (
-                    200,
-                    prometheus_text(self.registry).encode(),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
             if path == "/healthz":
                 status, body = await self.healthz()
                 return status, body, "application/json"
+            routed = self.live.handle_path(path)
+            if routed is not None:
+                return (200, *routed)
             status, body = await self.respond(path)
             return status, body, "application/json"
-        except _ShardDown as down:
-            self.registry.inc("router.errors")
-            body = (json.dumps({"error": str(down)}) + "\n").encode()
-            return 502, body, "application/json"
         except QueryError as error:
             self.registry.inc("router.errors")
-            body = (
-                json.dumps({"error": error.message}) + "\n"
-            ).encode()
-            return error.status, body, "application/json"
+            return json_error(error.status, error.message)
         except Exception as error:  # pragma: no cover - defensive
             self.registry.inc("router.errors")
-            body = (json.dumps({"error": str(error)}) + "\n").encode()
-            return 500, body, "application/json"
+            return json_error(500, str(error))
         finally:
             self.registry.observe(
                 "latency.router",

@@ -8,12 +8,11 @@ to the single server over the whole corpus — including 4xx bodies.
 import asyncio
 import json
 import socket
-import threading
-import urllib.error
-import urllib.request
+import time
 
 import pytest
 
+import repro.serve.router as router_module
 from repro.io import (
     FleetOwners,
     load_dataset,
@@ -22,35 +21,13 @@ from repro.io import (
     verify_fleet,
 )
 from repro.io.backends import MappedBackend
-from repro.obs.live import LiveServer
+from repro.obs.httpcore import HTTPServer
+from repro.obs.live import LiveServer, render_top
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve import FleetRouter, QueryEngine, QueryServer
 
-SHARDS = 2
-
-
-@pytest.fixture(scope="module")
-def fleet(serve_paths, tmp_path_factory):
-    out = tmp_path_factory.mktemp("fleet")
-    return split_corpus(
-        serve_paths["corpus"], serve_paths["environment"], out,
-        shards=SHARDS, cache_dir=str(serve_paths["cache"]),
-    )
-
-
-@pytest.fixture(scope="module")
-def loop():
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    yield loop
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=5)
-
-
-def _start(loop, coro):
-    return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout=60)
+from .conftest import SHARDS, http_get as _get, run_on as _start
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +68,19 @@ def router(fleet, shard_servers, loop):
     _start(loop, router.stop())
 
 
-def _get(url, path):
+@pytest.fixture(scope="module")
+def fingerprint_of_shard(fleet, serve_paths):
+    """Shard index -> the smallest fingerprint that shard owns."""
+    owners = FleetOwners(fleet.owners_path)
     try:
-        with urllib.request.urlopen(url + path, timeout=30) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as error:
-        return error.code, error.read()
+        by_owner = {}
+        for fingerprint in sorted(
+            load_dataset(serve_paths["corpus"]).certificates
+        ):
+            by_owner.setdefault(owners.owner_of_cert(fingerprint), fingerprint)
+    finally:
+        owners.close()
+    return by_owner
 
 
 class TestSplit:
@@ -192,6 +176,18 @@ class TestRouterParity:
         for shard in range(SHARDS):
             assert f"repro_latency_router_upstream_shard{shard}" in text
 
+    def test_vars_feeds_repro_top(self, router):
+        _get(router.url, "/census")
+        status, body = _get(router.url, "/vars")
+        assert status == 200
+        snapshot = json.loads(body)
+        assert snapshot["counters"]["router.requests"] >= 1
+        assert snapshot["health"]["role"] == "fleet-router"
+        frame = render_top(snapshot)
+        assert "repro top — fleet-router" in frame
+        assert "router.requests" in frame
+        assert "router.upstream.shard0" in frame
+
 
 class TestRouterFailureModes:
     @pytest.fixture()
@@ -215,20 +211,9 @@ class TestRouterFailureModes:
         assert payload["shards"][1]["ok"] is False
 
     def test_live_shard_lookups_keep_answering(
-        self, degraded_router, fleet, serve_paths, engine
+        self, degraded_router, fingerprint_of_shard, engine
     ):
-        owners = FleetOwners(fleet.owners_path)
-        try:
-            by_owner = {}
-            for fingerprint in sorted(
-                load_dataset(serve_paths["corpus"]).certificates
-            ):
-                by_owner.setdefault(
-                    owners.owner_of_cert(fingerprint), fingerprint
-                )
-        finally:
-            owners.close()
-        live_fp, dead_fp = by_owner[0], by_owner[1]
+        live_fp, dead_fp = fingerprint_of_shard[0], fingerprint_of_shard[1]
         status, body = _get(degraded_router.url, f"/cert/{live_fp.hex()}")
         assert status == 200
         assert body == engine.respond(f"/cert/{live_fp.hex()}")
@@ -242,6 +227,70 @@ class TestRouterFailureModes:
         status, body = _get(degraded_router.url, "/census")
         assert status == 502
         assert "error" in json.loads(body)
+
+    @pytest.fixture()
+    def hung_router(self, fleet, shard_servers, loop, monkeypatch):
+        """Shard 0 live, shard 1 a listener that accepts and never answers."""
+        monkeypatch.setattr(router_module, "UPSTREAM_TIMEOUT_S", 0.3)
+        with socket.socket() as hung:
+            hung.bind(("127.0.0.1", 0))
+            hung.listen(64)
+            router = FleetRouter.open(
+                fleet.directory,
+                [shard_servers[0].url,
+                 f"http://127.0.0.1:{hung.getsockname()[1]}"],
+            )
+            _start(loop, router.start())
+            yield router
+            _start(loop, router.stop())
+
+    def test_hung_shard_times_out_504(
+        self, hung_router, fingerprint_of_shard, engine
+    ):
+        live_fp, hung_fp = fingerprint_of_shard[0], fingerprint_of_shard[1]
+        status, body = _get(hung_router.url, f"/cert/{hung_fp.hex()}")
+        assert status == 504
+        assert json.loads(body)["error"] == "shard 1 timed out after 0.3s"
+        assert hung_router.registry.counters["router.upstream_errors"] == 1
+        # A scatter over the hung shard times out too; live lookups answer.
+        assert _get(hung_router.url, "/census")[0] == 504
+        path = f"/cert/{live_fp.hex()}"
+        assert _get(hung_router.url, path) == (200, engine.respond(path))
+
+    def test_hung_shard_degrades_health(self, hung_router):
+        status, body = _get(hung_router.url, "/healthz")
+        assert status == 503
+        payload = json.loads(body)
+        assert payload["status"] == "degraded"
+        assert [entry["ok"] for entry in payload["shards"]] == [True, False]
+
+    def test_timed_out_connection_is_never_reused(
+        self, fleet, fingerprint_of_shard, loop, monkeypatch
+    ):
+        """A reply that lands after the deadline answers no later request."""
+        monkeypatch.setattr(router_module, "UPSTREAM_TIMEOUT_S", 0.2)
+        replies = iter([b"late", b"fresh"])
+
+        async def shard_route(method, target):
+            body = next(replies)
+            if body == b"late":
+                await asyncio.sleep(0.6)
+            return 200, body, "application/json"
+
+        shard = HTTPServer(shard_route)
+        _start(loop, shard.start())
+        router = FleetRouter.open(fleet.directory, [shard.url] * SHARDS)
+        _start(loop, router.start())
+        path = f"/cert/{fingerprint_of_shard[0].hex()}"
+        try:
+            first = _get(router.url, path)
+            time.sleep(0.6)  # the late reply is written meanwhile
+            second = _get(router.url, path)
+        finally:
+            _start(loop, router.stop())
+            _start(loop, shard.stop())
+        assert first[0] == 504
+        assert second == (200, b"fresh")
 
     def test_digest_mismatch_is_rejected_at_boot(
         self, fleet, shard_servers, tmp_path

@@ -1,6 +1,5 @@
 """End-to-end tests for the asyncio query plane and the load generator."""
 
-import asyncio
 import json
 import threading
 import urllib.error
@@ -14,15 +13,11 @@ from repro.obs.trace import Tracer
 from repro.serve import QueryServer, run_loadgen
 from repro.serve.loadgen import DEFAULT_MIX, LoadgenReport, build_workload
 
+from .conftest import http_get, run_on
 
-@pytest.fixture(scope="module")
-def loop():
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    yield loop
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=5)
+
+def _get(server, path):
+    return http_get(server.url, path)
 
 
 @pytest.fixture(scope="module")
@@ -33,17 +28,9 @@ def server(engine, loop):
         health={"corpus": "tiny"},
     )
     server = QueryServer(engine, live=live)
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(timeout=30)
+    run_on(loop, server.start())
     yield server
-    asyncio.run_coroutine_threadsafe(server.stop(), loop).result(timeout=30)
-
-
-def _get(server, path):
-    try:
-        with urllib.request.urlopen(server.url + path, timeout=30) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as error:
-        return error.code, error.read()
+    run_on(loop, server.stop())
 
 
 class TestTransportParity:
