@@ -886,6 +886,7 @@ def _cmd_fleet(args) -> int:
         split_corpus,
         verify_fleet,
     )
+    from .obs import ResourceSampler
     from .serve.router import FleetRouter, boot_fleet, shutdown_fleet
 
     host, port = _parse_endpoint(args.listen)
@@ -913,8 +914,10 @@ def _cmd_fleet(args) -> int:
     )
     for shard, url in enumerate(urls):
         print(f"  shard {shard} at {url}", flush=True)
+    sampler = None
     try:
         router = FleetRouter(manifest, urls, host=host, port=port)
+        sampler = ResourceSampler(router.registry, interval=1.0).start()
         asyncio.run(_serve_until_signal(
             router,
             f"fleet router over {len(urls)} shards: /cert /key /track "
@@ -924,6 +927,8 @@ def _cmd_fleet(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
+        if sampler is not None:
+            sampler.stop()
         shutdown_fleet(processes)
     return 0
 

@@ -73,6 +73,14 @@ class ValidationReport:
         return {status: count / total for status, count in counts.items()}
 
     def status_of(self, fingerprint: bytes) -> VerifyStatus:
+        """One certificate's verdict status.
+
+        A cached report's mapping reads it from its status column, so
+        neither the verdict nor its chain's certificates are built.
+        """
+        cached = getattr(self.results, "status_of", None)
+        if cached is not None:
+            return cached(fingerprint)
         return self.results[fingerprint].status
 
 

@@ -449,10 +449,11 @@ class _CachedVerdicts(Mapping):
     columns, each verdict decoded on first read.
 
     Membership, length and iteration (in stored order) read the
-    fingerprint column alone.  Reading a verdict builds it, resolving
-    its chain's certificates (corpus certificates parse then, through
-    the dataset's lazy table), and memoizes it.  Read-only, and pickles
-    as a plain dict of every verdict.
+    fingerprint column alone, and :meth:`status_of` the status column.
+    Reading a verdict builds it, resolving its chain's certificates
+    (corpus certificates parse then, through the dataset's lazy table),
+    and memoizes it.  Read-only, and pickles as a plain dict of every
+    verdict.
     """
 
     def __init__(
@@ -486,6 +487,10 @@ class _CachedVerdicts(Mapping):
                 self._rows[fingerprint]
             )
         return result
+
+    def status_of(self, fingerprint: bytes) -> VerifyStatus:
+        """One verdict's status, read without decoding the verdict."""
+        return self._statuses[self._status_ids[self._rows[fingerprint]]]
 
     def _decode(self, row: int) -> VerifyResult:
         start, end = self._chain_starts[row], self._chain_starts[row + 1]

@@ -27,13 +27,16 @@ Perf architecture, per the three levers this module exists for:
   cache is given) — they share physical pages with the parent, so p99
   stays flat as concurrency grows instead of serializing on the GIL.
 
-A boot over a warm artifact cache parses no certificate: the census,
-the key-group SPKIs and ``/cert``'s ``self_signed`` read the feature
-matrix and the interval arrays, and cached verdicts decode on read.
+A boot over a warm artifact cache parses no certificate, and neither
+does ``/cert``: the census, the key-group SPKIs and every ``/cert``
+field read the feature matrix, the interval arrays and the verdicts'
+status column, and a cached verdict decodes only when read whole.
 
 The engine is transport-free on purpose: :mod:`repro.serve.http` is a
-thin asyncio shell over :meth:`QueryEngine.respond`, and the parity
-tests drive the engine directly against the batch pipeline.
+thin asyncio shell over :meth:`QueryEngine.respond` that asks
+:meth:`QueryEngine.answers_inline` which misses it may answer on its
+event loop, and the parity tests drive the engine directly against
+the batch pipeline.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core.analysis.longevity import validity_days
 from ..core.features import Feature
 from ..core.kernels import fused_group_consistency
 from ..core.linking import link_on_feature
@@ -376,9 +380,14 @@ class QueryEngine:
         return self
 
     @property
+    def fans_out(self) -> bool:
+        """Whether heavy queries run on a process pool (see :attr:`pool`)."""
+        return self.workers > 1 and self.corpus_path is not None
+
+    @property
     def pool(self) -> Optional[ProcessPoolExecutor]:
         """The heavy-query pool (None when fan-out is unavailable)."""
-        if self.workers <= 1 or self.corpus_path is None:
+        if not self.fans_out:
             return None
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
@@ -450,31 +459,58 @@ class QueryEngine:
             raise QueryError(404, f"unknown query path: {path}")
         return self._store(path, payload)
 
+    def answers_inline(self, path: str) -> bool:
+        """Whether a server may run :meth:`respond` for ``path`` on its loop.
+
+        True for a point lookup on a warm engine (``/cert``, ``/track``,
+        ``/as/<asn>/reassignment``, ``/fleet/as``, and ``/key`` unless
+        the process pool serves it): a few hundred microseconds under the
+        GIL, which a thread hop could only delay.  Population-wide
+        queries, pool-served paths and anything before :meth:`warm` can
+        hold the caller for tens of milliseconds, so they stay off it.
+        """
+        if not self._warmed:
+            return False
+        parts = [part for part in path.split("/") if part]
+        if len(parts) == 2:
+            return parts[0] in ("cert", "track")
+        return len(parts) == 3 and (
+            (parts[0] == "as" and parts[2] == "reassignment")
+            or (parts[0] == "fleet" and parts[1] == "as")
+            or (parts[0] == "key" and parts[2] == "group"
+                and not self.fans_out)
+        )
+
     # --- endpoints -------------------------------------------------------------
 
     def cert(self, fingerprint_hex: str) -> dict:
-        """One certificate: identity, verdict, observation history."""
+        """One certificate: identity, verdict, observation history.
+
+        Read from columns alone — the ``cert_hash`` probe, the feature
+        matrix, the verdicts' status column and the observation index —
+        so a lookup parses no certificate.
+        """
         fingerprint = _parse_fingerprint(fingerprint_hex)
         dataset = self.dataset
-        try:
-            certificate = dataset.certificate(fingerprint)
-        except KeyError:
+        if fingerprint not in dataset.certificates:
             raise QueryError(404, f"unknown certificate: {fingerprint_hex}")
         validation = self.study.validation()
         self.study.kernels()
         matrix = dataset.feature_matrix
+        issuer, _ = matrix.raw_value(Feature.ISSUER_SERIAL, fingerprint)
+        key = matrix.raw_value(Feature.PUBLIC_KEY, fingerprint)
         appearances = dataset.appearances(fingerprint)
         payload = {
             "fingerprint": fingerprint.hex(),
-            "subject_cn": certificate.subject_cn,
-            "issuer_cn": certificate.issuer_cn,
-            "spki": certificate.public_key.fingerprint.hex(),
-            "validity_period_days": certificate.validity_period_days,
+            "subject_cn": matrix.raw_value(Feature.COMMON_NAME, fingerprint),
+            "issuer_cn": issuer.cn,
+            "spki": key.fingerprint.hex(),
+            "validity_period_days": validity_days(dataset, (fingerprint,))[0],
             "self_signed": bool(
                 matrix.self_signed[matrix.rows[fingerprint]]
             ),
             "status": (
-                validation.results[fingerprint].status.value
+                validation.status_of(fingerprint).value
                 if fingerprint in validation.results else None
             ),
             "invalid": fingerprint in validation.invalid,

@@ -8,9 +8,14 @@ The division of labor keeps the event loop unblocked:
 
 * responses already in the engine's LRU are written straight from the
   loop (a dict hit — no executor round trip, no serialization);
-* cache misses run :meth:`QueryEngine.respond` on the default thread
-  executor, and heavy queries inside it fan out to the engine's
-  process pool — the loop keeps serving hot lookups meanwhile;
+* a point-lookup miss on a warm engine (the rule is
+  :meth:`QueryEngine.answers_inline`) runs :meth:`QueryEngine.respond`
+  on the loop too: a few hundred microseconds of pure Python that a
+  thread, under the same GIL, could only delay by a wake-up each way;
+* every other miss (the census, seeds, pool-served paths, anything
+  before warm-up) runs it on the default thread executor, and heavy
+  queries inside it fan out to the engine's process pool — the loop
+  keeps serving lookups meanwhile;
 * observability paths (``/metrics``, ``/healthz``, ``/vars``) are
   routed through the *same* :meth:`LiveServer.handle_path` table the
   watch daemon's plane and the fleet router use, so they cannot drift.
@@ -113,9 +118,12 @@ class QueryServer(HTTPServer):
                     return (200, *routed)
             body = self.engine.cached(path)
             if body is None:
-                body = await asyncio.get_running_loop().run_in_executor(
-                    None, self.engine.respond, path
-                )
+                if self.engine.answers_inline(path):
+                    body = self.engine.respond(path)
+                else:
+                    body = await asyncio.get_running_loop().run_in_executor(
+                        None, self.engine.respond, path
+                    )
             status = 200
             return 200, body, "application/json"
         except QueryError as error:

@@ -20,7 +20,8 @@ corpus:
 Upstream traffic rides per-shard keep-alive connection pools; each hop
 lands one sample in that shard's ``latency.router.upstream.shard<i>``
 histogram.  A failed hop is a JSON 502 naming the shard, one past
-:data:`UPSTREAM_TIMEOUT_S` a 504.  ``/healthz`` live-probes every shard
+:data:`UPSTREAM_TIMEOUT_S` a 504; a scatter cancels its other hops
+before answering either.  ``/healthz`` live-probes every shard
 and degrades (without refusing point lookups to surviving shards) when
 one is down or hung; ``/metrics`` and ``/vars`` are the live plane's
 over the router's registry, so ``repro top`` watches a router too.  At
@@ -333,13 +334,23 @@ class FleetRouter(HTTPServer):
             )
 
     async def _scatter(self, path: str) -> List[dict]:
-        """``path`` on every shard; parsed JSON bodies, shard order."""
-        results = await asyncio.gather(
-            *(
-                self._shard_get(shard, path)
-                for shard in range(len(self.clients))
-            )
-        )
+        """``path`` on every shard; parsed JSON bodies, shard order.
+
+        On the first failed hop the others are cancelled and awaited, so
+        their connections are closed before the error is answered rather
+        than pooled by a hop that lands after it.
+        """
+        hops = [
+            asyncio.ensure_future(self._shard_get(shard, path))
+            for shard in range(len(self.clients))
+        ]
+        try:
+            results = await asyncio.gather(*hops)
+        except BaseException:
+            for hop in hops:
+                hop.cancel()
+            await asyncio.gather(*hops, return_exceptions=True)
+            raise
         partials = []
         for shard, (status, body) in enumerate(results):
             if status != 200:

@@ -233,18 +233,27 @@ class TestWarmBoot:
         with obs_runtime.activated(Tracer(), registry):
             booted = self._open(serve_paths, serve_paths["cache"]).warm()
             sample = json.loads(booted.respond("/sample"))
+            validation = booted.study.validation()
             paths = ["/census", "/census/valid", "/census/invalid"] + [
                 f"/key/{key}/group" for key in sample["keys"][:3]
+            ] + [
+                f"/cert/{min(population).hex()}"
+                for population in (validation.valid, validation.invalid)
             ]
             for path in paths:
                 assert booted.respond(path) == engine.respond(path)
+            unknown = "/cert/" + "00" * 32
+            errors = []
+            for answering in (booted, engine):
+                with pytest.raises(QueryError) as err:
+                    answering.respond(unknown)
+                errors.append((err.value.status, err.value.message))
+            assert errors[0] == errors[1]
             assert registry.counters.get("io.der_parse_total", 0) == 0
             assert registry.counters["artifacts.hit"] == 2
 
-            # One verdict read afterwards parses at most its own chain.
-            validation = booted.study.validation()
-            fingerprint = sorted(validation.valid)[0]
-            booted.respond(f"/cert/{fingerprint.hex()}")
+            # Reading a verdict itself parses at most its own chain.
+            fingerprint = min(validation.valid)
             chain = validation.results[fingerprint].chain
             assert chain
             assert 1 <= registry.counters["io.der_parse_total"] <= len(chain)

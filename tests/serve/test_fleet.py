@@ -13,6 +13,7 @@ import time
 import pytest
 
 import repro.serve.router as router_module
+from repro.cli import main
 from repro.io import (
     FleetOwners,
     load_dataset,
@@ -28,6 +29,14 @@ from repro.obs.trace import Tracer
 from repro.serve import FleetRouter, QueryEngine, QueryServer
 
 from .conftest import SHARDS, http_get as _get, run_on as _start
+
+
+async def _pending_hops():
+    """The router's upstream hops still running on the loop."""
+    return [
+        task for task in asyncio.all_tasks()
+        if task.get_coro().__qualname__ == "FleetRouter._shard_get"
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +237,28 @@ class TestRouterFailureModes:
         assert status == 502
         assert "error" in json.loads(body)
 
+    def test_failed_scatter_cancels_its_other_hops(self, fleet, loop):
+        """A 502 leaves no hop behind to pool its connection later."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        with socket.socket() as hung:
+            hung.bind(("127.0.0.1", 0))
+            hung.listen(64)
+            router = FleetRouter.open(
+                fleet.directory,
+                [dead, f"http://127.0.0.1:{hung.getsockname()[1]}"],
+            )
+            _start(loop, router.start())
+            try:
+                status, body = _get(router.url, "/census")
+                pending = _start(loop, _pending_hops())
+            finally:
+                _start(loop, router.stop())
+        assert status == 502
+        assert json.loads(body)["error"] == "shard 0 unavailable"
+        assert pending == []
+
     @pytest.fixture()
     def hung_router(self, fleet, shard_servers, loop, monkeypatch):
         """Shard 0 live, shard 1 a listener that accepts and never answers."""
@@ -307,3 +338,31 @@ class TestRouterFailureModes:
             FleetRouter.open(
                 clone, [server.url for server in shard_servers]
             )
+
+
+class TestFleetCommand:
+    def test_router_publishes_resource_gauges(
+        self, fleet, serve_paths, shard_servers, monkeypatch
+    ):
+        """``repro fleet`` samples the router's process like ``repro serve``."""
+        routers = []
+
+        class Recorded(FleetRouter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                routers.append(self)
+
+        urls = [server.url for server in shard_servers]
+        monkeypatch.setattr(router_module, "FleetRouter", Recorded)
+        monkeypatch.setattr(
+            router_module, "boot_fleet", lambda *args, **kwargs: ([], urls)
+        )
+        code = main([
+            "fleet", str(serve_paths["corpus"]),
+            "--environment", str(serve_paths["environment"]),
+            "--fleet-dir", str(fleet.directory), "--shards", str(SHARDS),
+            "--no-cache", "--max-seconds", "0.1",
+        ])
+        assert code == 0
+        assert len(routers) == 1
+        assert routers[0].registry.gauges["process.rss_bytes"] > 0

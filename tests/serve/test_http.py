@@ -1,16 +1,19 @@
 """End-to-end tests for the asyncio query plane and the load generator."""
 
+import asyncio
+import contextlib
 import json
 import threading
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.obs.live import LiveServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.serve import QueryServer, run_loadgen
+from repro.serve import QueryEngine, QueryServer, run_loadgen
 from repro.serve.loadgen import DEFAULT_MIX, LoadgenReport, build_workload
 
 from .conftest import http_get, run_on
@@ -20,8 +23,32 @@ def _get(server, path):
     return http_get(server.url, path)
 
 
+class _CountingExecutor(ThreadPoolExecutor):
+    """A default executor that counts the calls handed to it."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=4)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1  # run_in_executor submits from the loop thread
+        return super().submit(fn, *args, **kwargs)
+
+
 @pytest.fixture(scope="module")
-def server(engine, loop):
+def executor(loop):
+    """The servers' loop's default executor, installed before any use."""
+    counting = _CountingExecutor()
+
+    async def install():
+        asyncio.get_running_loop().set_default_executor(counting)
+
+    run_on(loop, install())
+    return counting
+
+
+@pytest.fixture(scope="module")
+def server(engine, loop, executor):
     live = LiveServer(
         Tracer(process="serve-test"),
         MetricsRegistry(),
@@ -146,3 +173,113 @@ class TestLoadgen:
         for endpoint, row in report.by_endpoint.items():
             assert endpoint in {"cert", "key", "track", "census", "as"}
             assert 0.0 < row["p50_ms"] <= row["p99_ms"]
+
+
+def _open(serve_paths, workers=1):
+    return QueryEngine.open(
+        serve_paths["corpus"], serve_paths["environment"],
+        cache_dir=str(serve_paths["cache"]), workers=workers,
+    )
+
+
+@contextlib.contextmanager
+def _serving(loop, engine):
+    """``engine`` behind a server on ``loop``; stopping closes the engine."""
+    server = QueryServer(engine)
+    run_on(loop, server.start())
+    try:
+        yield server
+    finally:
+        run_on(loop, server.stop())
+
+
+class TestDispatch:
+    """Which response-LRU misses run on the loop, which in the executor."""
+
+    @pytest.fixture(scope="class")
+    def warm(self, serve_paths, loop, executor):
+        with _serving(loop, _open(serve_paths).warm()) as server:
+            yield server
+
+    @pytest.fixture(scope="class")
+    def sample(self, engine):
+        return json.loads(engine.respond("/sample"))
+
+    @staticmethod
+    def _miss(executor, server, path):
+        """``(executor submissions, (status, body))`` of one GET of a miss."""
+        assert server.engine.cached(path) is None, path
+        before = executor.submitted
+        answer = _get(server, path)
+        return executor.submitted - before, answer
+
+    def test_point_lookup_misses_skip_the_executor(
+        self, warm, executor, engine, sample
+    ):
+        paths = [f"/cert/{fp}" for fp in sample["fingerprints"][:3]]
+        paths += [f"/track/{ip}" for ip in sample["ips"][:3]]
+        paths += [f"/key/{key}/group" for key in sample["keys"][:3]]
+        paths += [f"/as/{asn}/reassignment" for asn in sample["asns"][:2]]
+        paths += [f"/fleet/as/{asn}" for asn in sample["asns"][:2]]
+        for path in paths:
+            answer = (200, engine.respond(path))
+            assert self._miss(executor, warm, path) == (0, answer), path
+        unknown = "/cert/" + "00" * 32
+        submitted, (status, _) = self._miss(executor, warm, unknown)
+        assert (submitted, status) == (0, 404)
+
+    def test_population_queries_use_the_executor(
+        self, warm, executor, engine
+    ):
+        for path in ("/census", "/sample"):
+            answer = (200, engine.respond(path))
+            assert self._miss(executor, warm, path) == (1, answer), path
+
+    def test_pool_served_lookups_use_the_executor(
+        self, serve_paths, loop, executor, engine, sample
+    ):
+        with _serving(loop, _open(serve_paths, workers=2).warm()) as pooled:
+            key = f"/key/{sample['keys'][0]}/group"
+            cert = f"/cert/{sample['fingerprints'][0]}"
+            assert self._miss(executor, pooled, key) == \
+                (1, (200, engine.respond(key)))
+            assert self._miss(executor, pooled, cert) == \
+                (0, (200, engine.respond(cert)))
+
+    def test_unwarmed_engine_uses_the_executor(
+        self, serve_paths, loop, executor, engine, sample
+    ):
+        first, second = (f"/track/{ip}" for ip in sample["ips"][:2])
+        with _serving(loop, _open(serve_paths)) as cold:
+            assert self._miss(executor, cold, first) == \
+                (1, (200, engine.respond(first)))
+            # Answering /track warmed the engine: now it stays on the loop.
+            assert self._miss(executor, cold, second) == \
+                (0, (200, engine.respond(second)))
+
+    def test_lookups_answer_while_a_census_is_held(
+        self, warm, engine, sample, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        census_slice = warm.engine.census_slice
+
+        def held(population):
+            entered.set()
+            release.wait(timeout=60)
+            return census_slice(population)
+
+        monkeypatch.setattr(warm.engine, "census_slice", held)
+        held_answers = []
+        census = threading.Thread(
+            target=lambda: held_answers.append(_get(warm, "/census/valid"))
+        )
+        census.start()
+        try:
+            assert entered.wait(timeout=30)
+            path = f"/cert/{sample['fingerprints'][-1]}"
+            assert _get(warm, path) == (200, engine.respond(path))
+        finally:
+            release.set()
+            census.join(timeout=30)
+        assert not census.is_alive()
+        assert held_answers == [(200, engine.respond("/census/valid"))]
