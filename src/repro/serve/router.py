@@ -7,8 +7,8 @@ corpus:
 
 * point lookups (``/cert/<fp>``, ``/key/<spki>/group``) are routed to
   the owning shard through the ``owners.rpo`` sidecar's mapped hash
-  tables and proxied verbatim — one upstream hop, no re-serialization
-  of the body;
+  tables and proxied verbatim — the first request for a path takes one
+  upstream hop, no re-serialization of the body;
 * scatter-gather endpoints (``/census``, ``/census/<pop>``,
   ``/track/<ip>``, ``/sample``, ``/as/<asn>/reassignment``) fan out to
   every shard's *fleet-internal* partials (integer counts and
@@ -16,6 +16,11 @@ corpus:
   medians re-derived with :class:`~repro.stats.cdf.CDF`'s own index
   expression, fractions as the same integer divisions, issuer ties
   broken by the same smallest-member-fingerprint rule.
+
+A 200 answer of either kind then sits in the router's bounded response
+LRU: the shards' bytes are fixed by the digests checked at boot, so a
+kept answer keeps answering after its shard dies.  Error answers are
+never kept.
 
 Upstream traffic rides per-shard keep-alive connection pools; each hop
 lands one sample in that shard's ``latency.router.upstream.shard<i>``
@@ -393,9 +398,13 @@ class FleetRouter(HTTPServer):
             return cached
         parts = [part for part in path.split("/") if part]
         if len(parts) == 2 and parts[0] == "cert":
-            return await self._proxy_cert(path, parts[1])
+            return self._remember(
+                path, await self._proxy_cert(path, parts[1])
+            )
         if len(parts) == 3 and parts[0] == "key" and parts[2] == "group":
-            return await self._proxy_key(path, parts[1])
+            return self._remember(
+                path, await self._proxy_key(path, parts[1])
+            )
         if len(parts) == 2 and parts[0] == "track":
             ip = _parse_ip(parts[1])
             payload = merge_track(ip, await self._scatter(path))
@@ -423,10 +432,21 @@ class FleetRouter(HTTPServer):
             )
         else:
             raise QueryError(404, f"unknown query path: {path}")
-        result = (200, self._serialize(payload))
-        self._results[path] = result
-        if len(self._results) > self._result_cache_size:
-            self._results.popitem(last=False)
+        return self._remember(path, (200, self._serialize(payload)))
+
+    def _remember(
+        self, path: str, result: Tuple[int, bytes]
+    ) -> Tuple[int, bytes]:
+        """Keep a 200 answer in the response LRU; return ``result``.
+
+        Error answers (a shard's 404) are never kept, so a failure stays
+        loud; a 502 or 504 raises before it gets here, so a reply that
+        lands after its deadline is never served.
+        """
+        if result[0] == 200:
+            self._results[path] = result
+            if len(self._results) > self._result_cache_size:
+                self._results.popitem(last=False)
         return result
 
     # --- router-owned endpoints -------------------------------------------------

@@ -22,7 +22,7 @@ from repro.io import (
     verify_fleet,
 )
 from repro.io.backends import MappedBackend
-from repro.obs.httpcore import HTTPServer
+from repro.obs.httpcore import HTTPServer, json_error
 from repro.obs.live import LiveServer, render_top
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -322,6 +322,34 @@ class TestRouterFailureModes:
             _start(loop, shard.stop())
         assert first[0] == 504
         assert second == (200, b"fresh")
+
+    def test_point_answers_are_kept_and_errors_are_not(
+        self, fleet, fingerprint_of_shard, loop
+    ):
+        """A repeated 200 takes one upstream hop; a 404 takes one each time."""
+        found = f"/cert/{fingerprint_of_shard[0].hex()}"
+        missing = "/cert/" + "00" * 32
+        hops = []
+
+        async def shard_route(method, target):
+            hops.append(target)
+            if target == found:
+                return 200, b"kept", "application/json"
+            return json_error(404, "unknown certificate")
+
+        shard = HTTPServer(shard_route)
+        _start(loop, shard.start())
+        router = FleetRouter.open(fleet.directory, [shard.url] * SHARDS)
+        _start(loop, router.start())
+        try:
+            answers = [_get(router.url, found) for _ in range(2)]
+            misses = [_get(router.url, missing) for _ in range(2)]
+        finally:
+            _start(loop, router.stop())
+            _start(loop, shard.stop())
+        assert answers == [(200, b"kept")] * 2
+        assert [status for status, _ in misses] == [404, 404]
+        assert hops == [found, missing, missing]
 
     def test_digest_mismatch_is_rejected_at_boot(
         self, fleet, shard_servers, tmp_path
