@@ -9,10 +9,11 @@ replacement:
 
 * :class:`FeatureMatrix` — all ten §6.3 feature values extracted **once**
   per certificate into interned value-id columns (``-1`` = absent), with a
-  parallel linkable view that drops IPv4-literal Common Names (§6.4.1)
-  and a self-signed flag per certificate.  The §5 census reads it too,
-  so a warm run never parses a certificate to count validity periods,
-  keys, issuers or self-signatures.  Cached on the dataset
+  parallel linkable view that drops IPv4-literal Common Names (§6.4.1),
+  and a self-signed and a CA flag per certificate.  The §5 census reads
+  it too, so a warm run never parses a certificate to count validity
+  periods, keys, issuers or self-signatures, and ``repro split`` reads
+  every key and CA flag from it.  Cached on the dataset
   (``dataset.feature_matrix``) so it ships to process-pool workers once,
   with the pickled dataset.
 * :class:`ConsistencyCache` + :func:`fused_group_levels` /
@@ -78,7 +79,10 @@ class FeatureMatrix:
       names are additionally ``-1``;
     * ``self_signed``       — row → 1 when the certificate verifies under
       its own key (:meth:`~repro.x509.certificate.Certificate.is_self_signed`),
-      else 0 (``int8``).
+      else 0 (``int8``);
+    * ``is_ca``             — row → 1 when the certificate is a CA that may
+      issue others (:attr:`~repro.x509.certificate.Certificate.is_ca`), else
+      0 (``int8``).
 
     Equal values intern to equal ids, so grouping and census counting
     become integer-array operations; ``values`` maps ids back when a
@@ -87,7 +91,7 @@ class FeatureMatrix:
 
     __slots__ = (
         "rows", "fingerprints", "values", "raw_ids", "linkable_ids",
-        "self_signed",
+        "self_signed", "is_ca",
     )
 
     def __init__(self) -> None:
@@ -97,13 +101,14 @@ class FeatureMatrix:
         self.raw_ids: Dict[Feature, array] = {}
         self.linkable_ids: Dict[Feature, array] = {}
         self.self_signed = array("b")
+        self.is_ca = array("b")
 
     @classmethod
     def from_certificates(
         cls, certificates: Dict[bytes, Certificate], workers: int = 1
     ) -> "FeatureMatrix":
-        """Extract all ten features and the self-signed flag of every
-        certificate in one pass.
+        """Extract all ten features and the self-signed and CA flags of
+        every certificate in one pass.
 
         ``workers > 1`` shards the attribute-walk extraction (the
         expensive part) over a process pool; the value interning runs in
@@ -121,15 +126,15 @@ class FeatureMatrix:
             feature: {} for feature in features
         }
         cn_linkable = array("i", bytes(4 * n))
-        self_signed = array("b", bytes(n))
+        matrix.self_signed = array("b", bytes(n))
+        matrix.is_ca = array("b", bytes(n))
         if workers > 1 and n > 1:
             extracted = _extract_sharded(list(certificates.values()), workers)
         else:
             extracted = (_extract_all(cert) for cert in certificates.values())
         _intern_extracted(matrix, extracted, features, raw, cn_linkable,
-                          self_signed, value_ids)
+                          value_ids)
         matrix.raw_ids = raw
-        matrix.self_signed = self_signed
         matrix.linkable_ids = dict(raw)
         matrix.linkable_ids[Feature.COMMON_NAME] = cn_linkable
         return matrix
@@ -141,25 +146,27 @@ class FeatureMatrix:
         certificates: Dict[bytes, Certificate],
         workers: int = 1,
     ) -> "FeatureMatrix":
-        """Rebuild the matrix over a grown certificate table, extracting
+        """Rebuild the matrix over another certificate table, extracting
         only the certificates the base has no row for.
 
-        An append can interleave newly observed certificates *ahead* of
-        the base's unobserved tail in the grown table order, and value
-        ids are assigned on first appearance in row order — so only the
-        rows from the first divergence onward are re-interned.  The rows
-        *before* it — the base's observed prefix, which an append never
-        reorders — interned identically in the base build: their id
-        columns are copied wholesale, and each value table is seeded
-        with the prefix of the base's (ids are dense in first-appearance
-        order, so the values those rows introduced are exactly
+        The table is a grown one (an append) or a subset of the base's
+        (a shard of ``repro split``, which extracts nothing).  An append
+        can interleave newly observed certificates *ahead* of the base's
+        unobserved tail in the grown table order, a subset drops rows,
+        and value ids are assigned on first appearance in row order — so
+        only the rows from the first divergence onward are re-interned.
+        The rows *before* it — the prefix the two tables share — interned
+        identically in the base build: their id columns are copied
+        wholesale, and each value table is seeded with the prefix of the
+        base's (ids are dense in first-appearance order, so the values
+        those rows introduced are exactly
         ``base.values[feature][:max_prefix_id + 1]``).  The expensive
         part — DER parsing, the per-certificate attribute walk and the
-        self-signature check — runs only over the appended certificates;
-        re-interned base rows recover their extracted tuples exactly from
-        the base matrix (``values[feature][raw_ids[feature][row]]``
-        inverts the interning, and the self-signed flag is copied).
-        Bitwise-identical to :meth:`from_certificates` over the grown
+        self-signature check — runs only over certificates the base
+        lacks; re-interned base rows recover their extracted tuples
+        exactly from the base matrix (``values[feature][raw_ids[feature]
+        [row]]`` inverts the interning, and the flags are copied).
+        Bitwise-identical to :meth:`from_certificates` over the new
         table.
         """
         fingerprints = list(certificates)
@@ -183,16 +190,18 @@ class FeatureMatrix:
         new_values = dict(zip(new_fps, extracted))
         base_values = base.values
         base_raw = base.raw_ids
+        base_slots = [
+            (base_values[feature], base_raw[feature]) for feature in features
+        ]
 
         def recovered(fingerprint: bytes) -> tuple:
             row = base_rows.get(fingerprint)
             if row is None:
                 return new_values[fingerprint]
             return (*(
-                base_values[feature][base_raw[feature][row]]
-                if base_raw[feature][row] >= 0 else None
-                for feature in features
-            ), base.self_signed[row])
+                table[ids[row]] if ids[row] >= 0 else None
+                for table, ids in base_slots
+            ), base.self_signed[row], base.is_ca[row])
 
         matrix = cls()
         n = len(fingerprints)
@@ -203,7 +212,8 @@ class FeatureMatrix:
             feature: {} for feature in features
         }
         cn_linkable = array("i", bytes(4 * n))
-        self_signed = array("b", bytes(n))
+        matrix.self_signed = array("b", bytes(n))
+        matrix.is_ca = array("b", bytes(n))
         if prefix:
             for feature in features:
                 head = base_raw[feature][:prefix]
@@ -214,14 +224,13 @@ class FeatureMatrix:
                 raw[feature][:prefix] = head
             cn_linkable[:prefix] = \
                 base.linkable_ids[Feature.COMMON_NAME][:prefix]
-            self_signed[:prefix] = base.self_signed[:prefix]
+            matrix.self_signed[:prefix] = base.self_signed[:prefix]
+            matrix.is_ca[:prefix] = base.is_ca[:prefix]
         _intern_extracted(
             matrix, (recovered(fp) for fp in fingerprints[prefix:]),
-            features, raw, cn_linkable, self_signed, value_ids,
-            start_row=prefix,
+            features, raw, cn_linkable, value_ids, start_row=prefix,
         )
         matrix.raw_ids = raw
-        matrix.self_signed = self_signed
         matrix.linkable_ids = dict(raw)
         matrix.linkable_ids[Feature.COMMON_NAME] = cn_linkable
         return matrix
@@ -245,7 +254,6 @@ def _intern_extracted(
     features: tuple,
     raw: Dict[Feature, array],
     cn_linkable: array,
-    self_signed: array,
     value_ids: Dict[Feature, Dict[Hashable, int]],
     start_row: int = 0,
 ) -> None:
@@ -255,27 +263,37 @@ def _intern_extracted(
     assigned on first appearance in row order, so resuming the loop at
     ``start_row`` over tables seeded from a prefix build reproduces the
     cold build's interning exactly.  Each tuple ends with the row's
-    self-signed flag, after its feature values.
+    self-signed and CA flags, after its feature values.
     """
     flag = len(features)
+    self_signed, is_ca = matrix.self_signed, matrix.is_ca
+    # Per-feature (id column, interning dict, value table) by position:
+    # a dict lookup keyed by the Feature enum for every cell would cost
+    # about as much as the interning itself.
+    slots = [
+        (raw[feature], value_ids[feature], matrix.values[feature])
+        for feature in features
+    ]
+    cn = features.index(Feature.COMMON_NAME)
+    cn_raw = raw[Feature.COMMON_NAME]
     for row, values in enumerate(extracted, start_row):
         self_signed[row] = values[flag]
-        for feature, value in zip(features, values):
+        is_ca[row] = values[flag + 1]
+        for (column, ids, table), value in zip(slots, values):
             if value is None:
-                raw[feature][row] = -1
-                if feature is Feature.COMMON_NAME:
-                    cn_linkable[row] = -1
+                column[row] = -1
                 continue
-            ids = value_ids[feature]
             value_id = ids.get(value)
             if value_id is None:
-                value_id = ids[value] = len(matrix.values[feature])
-                matrix.values[feature].append(value)
-            raw[feature][row] = value_id
-            if feature is Feature.COMMON_NAME:
-                cn_linkable[row] = (
-                    -1 if dropped_for_linking(feature, value) else value_id
-                )
+                value_id = ids[value] = len(table)
+                table.append(value)
+            column[row] = value_id
+        name = values[cn]
+        cn_linkable[row] = (
+            -1 if name is None
+            or dropped_for_linking(Feature.COMMON_NAME, name)
+            else cn_raw[row]
+        )
 
 
 def _init_matrix_worker(obs_enabled: bool) -> None:
@@ -315,7 +333,7 @@ def _extract_sharded(certs: "List[Certificate]", workers: int) -> "list[tuple]":
 
 def _extract_all(cert: Certificate) -> tuple:
     """All ten feature values of one certificate, in ``Feature`` order,
-    then its self-signed flag.
+    then its self-signed and CA flags.
 
     The fused form of ten :func:`~.features.extract` calls — one attribute
     walk per certificate instead of one per (certificate, feature).  Must
@@ -335,6 +353,7 @@ def _extract_all(cert: Certificate) -> tuple:
         extensions.ocsp_uris or None,                # OCSP
         extensions.policy_oids or None,              # OID
         cert.is_self_signed(),
+        cert.is_ca,
     )
 
 

@@ -33,12 +33,19 @@ Segment groups:
   artifact;
 * ``index.*`` / ``intervals.*`` — the CSR index and interval arrays;
 * ``matrix.*``    — the feature matrix (interned value tables as one
-  pickle segment, id columns and the ``int8`` self-signed column as
-  arrays), which is all the §5 census reads;
+  pickle segment, id columns and the ``int8`` self-signed and CA columns
+  as arrays), which is all the §5 census reads;
 * ``val.*``       — per-certificate verdicts, columnar: interned
   status/detail tables, per-record id columns, a flat chain-fingerprint
   blob with per-record lengths, plus the DER of chain members that are
-  not corpus certificates (roots), gated by a digest of the trust store.
+  not corpus certificates (roots, and a shard's off-shard CAs), gated by
+  :func:`verdict_key` — a digest of the trust store and of the extra
+  intermediates the verdicts were computed with.
+
+``repro split`` writes each shard's bundle itself
+(:meth:`ArtifactCache.store_shard`): the matrix restricted from the
+parent's and the verdicts copied from the parent bundle's columns, so a
+shard boots warm without parsing a certificate.
 
 A warm load **maps** the container: fixed-stride segments come back as
 ``memoryview``s over the shared ``mmap`` (the ``artifacts/map`` span),
@@ -77,7 +84,16 @@ import pathlib
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from itertools import accumulate
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from ..obs import runtime as obs
 from ..scanner.columns import (
@@ -114,14 +130,15 @@ __all__ = [
     "LoadedArtifacts",
     "columns_digest",
     "file_digest",
-    "trust_store_digest",
+    "verdict_key",
 ]
 
 #: Bump on any change to the artifact payload encoding; older files are
 #: invalidated (fall back to a rebuild), never misread.  Schema 1 was
 #: the pre-mmap ZIP-of-pickles layout; schema 2 lacked the
-#: ``matrix.self_signed`` column.
-ARTIFACT_SCHEMA = 3
+#: ``matrix.self_signed`` column; schema 3 lacked ``matrix.is_ca`` and
+#: keyed verdicts on the trust store alone.
+ARTIFACT_SCHEMA = 4
 
 #: Streaming chunk size for archive-byte digests.
 _CHUNK = 1 << 20
@@ -214,14 +231,22 @@ def columns_digest(
     return digest.hexdigest()
 
 
-def trust_store_digest(trust_store: "TrustStore") -> str:
-    """Digest of a trust store: SHA-256 over its sorted root fingerprints.
+def verdict_key(
+    trust_store: "TrustStore", extra_fingerprints: Iterable[bytes] = ()
+) -> str:
+    """What verdicts depend on besides the corpus: SHA-256 over the
+    sorted root fingerprints of the trust store and the sorted
+    fingerprints of the extra intermediates pooled into chain building
+    (a shard's off-shard CAs; none for a whole corpus).
 
     Gates only the ``validation`` section — the kernel artifacts are pure
     functions of the corpus and stay loadable under any trust store.
     """
-    digest = hashlib.sha256(b"repro-trust/1\n")
-    for fingerprint in sorted(root.fingerprint for root in trust_store):
+    roots = sorted(root.fingerprint for root in trust_store)
+    extras = sorted(set(extra_fingerprints))
+    digest = hashlib.sha256(b"repro-trust/2\n")
+    digest.update(DIGEST_META.pack(len(roots), len(extras)))
+    for fingerprint in roots + extras:
         digest.update(fingerprint)
     return digest.hexdigest()
 
@@ -268,18 +293,77 @@ def _write_kernels(
         "matrix.cn_linkable", matrix.linkable_ids[Feature.COMMON_NAME]
     )
     writer.add_array("matrix.self_signed", matrix.self_signed)
+    writer.add_array("matrix.is_ca", matrix.is_ca)
 
 
-def _write_validation(
+def _report_verdicts(report: "ValidationReport"):
+    """A computed report's verdicts as ``(fingerprint, status, detail,
+    chain fingerprints)`` rows, and the DER of any chain member."""
+    links: dict[bytes, Certificate] = {}
+
+    def rows():
+        for fingerprint, result in report.results.items():
+            for link in result.chain:
+                links.setdefault(link.fingerprint, link)
+            yield (
+                fingerprint, result.status.value, result.detail,
+                [link.fingerprint for link in result.chain],
+            )
+
+    return rows(), lambda fingerprint: links[fingerprint].to_der()
+
+
+def _copied_verdicts(
+    reader: SegmentReader,
+    fingerprints: Sequence[bytes],
+    corpus_der: Callable[[bytes], bytes],
+):
+    """The verdicts of ``fingerprints`` as rows read from a bundle's
+    columns, and the DER of any chain member: the bundle's stored
+    extras, else ``corpus_der``.  Decodes no verdict."""
+    stored = unpack_fingerprints(
+        reader.bytes("val.fingerprints", materialize=True)
+    )
+    row_of = {fingerprint: row for row, fingerprint in enumerate(stored)}
+    statuses = reader.json("val.statuses")
+    details = reader.json("val.details")
+    status_ids = reader.array("val.status_ids")
+    detail_ids = reader.array("val.detail_ids")
+    starts = [0, *accumulate(reader.array("val.chain_lens"))]
+    chain_fps = unpack_fingerprints(
+        reader.bytes("val.chain_fps", materialize=True)
+    )
+    extras = reader.pickle("val.extra")
+
+    def rows():
+        for fingerprint in fingerprints:
+            row = row_of[fingerprint]
+            yield (
+                fingerprint, statuses[status_ids[row]],
+                details[detail_ids[row]],
+                chain_fps[starts[row]:starts[row + 1]],
+            )
+
+    def der_of(fingerprint: bytes) -> bytes:
+        der = extras.get(fingerprint)
+        return der if der is not None else corpus_der(fingerprint)
+
+    return rows(), der_of
+
+
+def _write_verdicts(
     writer: SegmentWriter,
-    report: "ValidationReport",
-    dataset: "ScanDataset",
-    trust_store: "TrustStore",
+    key: str,
+    rows,
+    der_of: Callable[[bytes], bytes],
+    certificates: Mapping[bytes, Certificate],
 ) -> None:
     """Columnar verdict encoding: the distinct (status, detail) space is
     tiny (a handful of failure classes), so per-certificate state is two
     id columns plus a flat chain-fingerprint blob with per-record
-    lengths — not tens of thousands of record tuples."""
+    lengths — not tens of thousands of record tuples.  Status and detail
+    tables intern in first-appearance order, and chain members outside
+    ``certificates`` keep their DER, in first-appearance order too."""
     statuses: list[str] = []
     status_ids: dict[str, int] = {}
     details: list[str] = []
@@ -290,23 +374,22 @@ def _write_validation(
     chain_lens = array("B")
     chain_fps: list[bytes] = []
     extra_der: dict[bytes, bytes] = {}
-    for fingerprint, result in report.results.items():
+    for fingerprint, status, detail, chain in rows:
         fingerprints.append(fingerprint)
-        status_id = status_ids.setdefault(result.status.value, len(statuses))
+        status_id = status_ids.setdefault(status, len(statuses))
         if status_id == len(statuses):
-            statuses.append(result.status.value)
-        detail_id = detail_ids.setdefault(result.detail, len(details))
+            statuses.append(status)
+        detail_id = detail_ids.setdefault(detail, len(details))
         if detail_id == len(details):
-            details.append(result.detail)
+            details.append(detail)
         record_status.append(status_id)
         record_detail.append(detail_id)
-        chain_lens.append(len(result.chain))
-        for link in result.chain:
-            chain_fps.append(link.fingerprint)
-            if link.fingerprint not in dataset.certificates \
-                    and link.fingerprint not in extra_der:
-                extra_der[link.fingerprint] = link.to_der()
-    writer.add_json("val.trust", trust_store_digest(trust_store))
+        chain_lens.append(len(chain))
+        for link in chain:
+            chain_fps.append(link)
+            if link not in certificates and link not in extra_der:
+                extra_der[link] = der_of(link)
+    writer.add_json("val.trust", key)
     writer.add_bytes(
         "val.fingerprints", pack_fingerprints(fingerprints), stride=FP_LEN
     )
@@ -418,6 +501,7 @@ def _decode_matrix(
     }
     cn_linkable = as_array(reader.array("matrix.cn_linkable"))
     self_signed = as_array(reader.array("matrix.self_signed"))
+    is_ca = as_array(reader.array("matrix.is_ca"))
     if stored != wanted:
         if sorted(stored) != sorted(wanted):
             raise ValueError("artifact certificate set mismatch")
@@ -429,7 +513,8 @@ def _decode_matrix(
         }
         cn_linkable = array("i", (cn_linkable[row] for row in perm))
         self_signed = array("b", (self_signed[row] for row in perm))
-    for column in (*raw.values(), cn_linkable, self_signed):
+        is_ca = array("b", (is_ca[row] for row in perm))
+    for column in (*raw.values(), cn_linkable, self_signed, is_ca):
         if len(column) != len(wanted):
             raise ValueError("artifact matrix shape mismatch")
     values = reader.pickle("matrix.values")
@@ -441,6 +526,7 @@ def _decode_matrix(
     matrix.linkable_ids = dict(raw)
     matrix.linkable_ids[Feature.COMMON_NAME] = cn_linkable
     matrix.self_signed = self_signed
+    matrix.is_ca = is_ca
     return matrix
 
 
@@ -618,6 +704,7 @@ class ArtifactCache:
         dataset: "ScanDataset",
         trust_store: Optional["TrustStore"] = None,
         workers: int = 1,
+        extra_fingerprints: Iterable[bytes] = (),
     ) -> LoadedArtifacts:
         """Install every cached artifact the corpus digest matches.
 
@@ -625,7 +712,10 @@ class ArtifactCache:
         ``dataset`` as **mapped** views over the artifact container (the
         ``artifacts/map`` span); the validation report is returned when
         ``trust_store`` is given and the stored verdicts were produced
-        under a trust store with the same digest.  Every requested
+        under the same :func:`verdict_key` — the same trust store and
+        the same extra intermediates (``extra_fingerprints``, the
+        fingerprints of the CAs pooled into chain building on top of the
+        corpus's own).  Every requested
         section bumps exactly one of ``artifacts.hit`` / ``miss`` /
         ``invalidated``; any read or decode failure — including a
         pre-format-3 ZIP artifact — counts as invalidated and falls back
@@ -695,8 +785,10 @@ class ArtifactCache:
                 obs.inc("artifacts.miss")
             else:
                 try:
-                    if reader.json("val.trust") != trust_store_digest(trust_store):
-                        # Same corpus, different roots: a miss, not corruption.
+                    key = verdict_key(trust_store, extra_fingerprints)
+                    if reader.json("val.trust") != key:
+                        # Same corpus, other roots or other extra
+                        # intermediates: a miss, not corruption.
                         obs.inc("artifacts.miss")
                     else:
                         loaded.validation = _decode_validation(
@@ -908,22 +1000,87 @@ class ArtifactCache:
         validation: Optional["ValidationReport"] = None,
         trust_store: Optional["TrustStore"] = None,
         workers: int = 1,
+        extra_fingerprints: Iterable[bytes] = (),
     ) -> Optional[pathlib.Path]:
         """Persist whatever artifacts ``dataset`` currently holds.
 
         The kernels section is written only when all four kernels are
         built; the validation section only when both ``validation`` and
-        ``trust_store`` are given.  Sections already in the file that
-        this call does not rewrite are preserved (raw segment copy, no
-        decode), and the file is replaced atomically, so a partial
-        writer never corrupts a reader.  Returns the artifact path, or
-        None when there was nothing to persist.
+        ``trust_store`` are given, keyed by :func:`verdict_key` over
+        ``trust_store`` and ``extra_fingerprints``.  Sections already in
+        the file that this call does not rewrite are preserved (raw
+        segment copy, no decode), and the file is replaced atomically,
+        so a partial writer never corrupts a reader.  Returns the
+        artifact path, or None when there was nothing to persist.
         """
+        verdicts = None
+        if validation is not None and trust_store is not None:
+            verdicts = (
+                verdict_key(trust_store, extra_fingerprints),
+                *_report_verdicts(validation),
+            )
+        return self._write(dataset, verdicts, workers)
+
+    def store_shard(
+        self,
+        shard: "ScanDataset",
+        parent_matrix,
+        parent_digest: str,
+        trust_store: "TrustStore",
+        extra_fingerprints: Iterable[bytes],
+        parent_der: Callable[[bytes], bytes],
+    ) -> Optional[pathlib.Path]:
+        """Persist the bundle of a ``repro split`` shard, byte-identical
+        to the one the shard stores when it boots cold, parsing nothing.
+
+        The index and intervals build over the shard's mapped columns;
+        the matrix is ``parent_matrix`` restricted to the shard's
+        certificates (``FeatureMatrix.extended`` extracts nothing for a
+        subset).  The verdicts are copied from the parent bundle's
+        columns in the shard's certificate order, keyed on
+        ``extra_fingerprints`` — the off-shard CAs the shard pools into
+        chain building — as the shard's study keys them; chain members
+        outside the shard keep their DER, from the parent bundle's
+        extras or ``parent_der`` (fingerprint → DER in the parent
+        corpus).  A shard's verdicts are the parent's: two issuer
+        candidates that both verify a certificate share a key, hence a
+        shard, so a shard pooling every off-shard CA builds the parent's
+        chains.  Without parent verdicts under ``trust_store`` only the
+        kernels are written.
+        """
+        from ..core.kernels import FeatureMatrix
+
+        shard.build_columns()
+        shard.index, shard.intervals
+        shard.adopt_kernels(
+            matrix=FeatureMatrix.extended(parent_matrix, shard.certificates)
+        )
+        verdicts = None
+        parent = self._existing_reader(
+            self.path_for(parent_digest), parent_digest
+        )
+        if parent is not None \
+                and "validation" in parent.meta.get("sections", ()) \
+                and parent.json("val.trust") == verdict_key(trust_store):
+            verdicts = (
+                verdict_key(trust_store, extra_fingerprints),
+                *_copied_verdicts(
+                    parent, list(shard.certificates), parent_der
+                ),
+            )
+        return self._write(shard, verdicts, workers=1)
+
+    def _write(
+        self, dataset: "ScanDataset", verdicts, workers: int
+    ) -> Optional[pathlib.Path]:
+        """Write the bundle: the kernels ``dataset`` holds, ``verdicts``
+        (``(key, rows, der_of)`` for :func:`_write_verdicts`, or None),
+        and whatever other section the existing file has."""
         digest = dataset.corpus_digest(workers=workers)
         columns, index, intervals, matrix = dataset.kernel_state
         write_kernels = columns is not None and index is not None \
             and intervals is not None and matrix is not None
-        write_validation = validation is not None and trust_store is not None
+        write_validation = verdicts is not None
         if not write_kernels and not write_validation:
             return None
         path = self.path_for(digest)
@@ -955,7 +1112,7 @@ class ArtifactCache:
             elif "kernels" in existing_sections:
                 _copy_section(writer, existing, "kernels")
             if write_validation:
-                _write_validation(writer, validation, dataset, trust_store)
+                _write_verdicts(writer, *verdicts, dataset.certificates)
             elif "validation" in existing_sections:
                 _copy_section(writer, existing, "validation")
             writer.close()

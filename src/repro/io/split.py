@@ -129,17 +129,17 @@ class _UnionFind:
 
 
 def _component_owners(
-    dataset, link_plan, unique_invalid, shards: int
+    dataset, spki_of: dict[bytes, bytes], link_plan, unique_invalid,
+    shards: int,
 ) -> dict[bytes, int]:
     """fingerprint → owning shard, over the analysis-closed components."""
     from ..core.linking import group_by_feature
 
     union = _UnionFind()
-    order = list(dataset.certificates)
+    order = list(spki_of)
     by_spki: dict[bytes, bytes] = {}
     for fingerprint in order:
-        spki = dataset.certificate(fingerprint).public_key.fingerprint
-        anchor = by_spki.setdefault(spki, fingerprint)
+        anchor = by_spki.setdefault(spki_of[fingerprint], fingerprint)
         if anchor != fingerprint:
             union.union(anchor, fingerprint)
     population = list(unique_invalid)
@@ -576,12 +576,19 @@ def split_corpus(
     Runs the parent's warm analysis once (validation → dedup →
     Table 6 → pipeline) to pin the linking plan and compute the
     analysis-closed partition, then emits each shard O(bytes) by
-    raw-copying owned ranges.  Deterministic: splitting the same
-    corpus twice yields identical shard digests.
+    raw-copying owned ranges.  Every key and CA flag comes from the
+    parent's feature matrix, so a warm parent parses no certificate.
+    Deterministic: splitting the same corpus twice yields identical
+    shard digests.
+
+    With a ``cache_dir``, each shard's artifact bundle is written there
+    too (:meth:`~repro.io.artifacts.ArtifactCache.store_shard`), so the
+    shards boot warm.
     """
+    from ..core.features import Feature
     from ..study import Study
     from . import load_dataset, load_environment
-    from .artifacts import ArtifactCache, file_digest
+    from .artifacts import ArtifactCache
 
     if not 1 <= shards <= MAX_SHARDS:
         raise ValueError(f"shard count must be 1..{MAX_SHARDS}: {shards}")
@@ -589,6 +596,7 @@ def split_corpus(
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    cache = ArtifactCache(cache_dir) if cache_dir else None
     with obs.span("split/analyze", shards=shards):
         dataset = load_dataset(corpus)
         loaded = load_environment(environment)
@@ -598,12 +606,27 @@ def split_corpus(
             as_of=loaded.routing.origin_as,
             registry=loaded.registry,
             workers=workers,
-            cache=ArtifactCache(cache_dir) if cache_dir else None,
+            cache=cache,
         )
         pipeline = study.pipeline()
         link_plan = [feature.value for feature in pipeline.field_order]
+        matrix = dataset.feature_matrix
+        spki_by_id = [
+            key.fingerprint for key in matrix.values[Feature.PUBLIC_KEY]
+        ]
+        key_ids = matrix.raw_ids[Feature.PUBLIC_KEY]
+        spki_of = {
+            fingerprint: spki_by_id[key_ids[row]]
+            for row, fingerprint in enumerate(matrix.fingerprints)
+        }
+        ca_fingerprints = {
+            fingerprint
+            for fingerprint, flag in zip(matrix.fingerprints, matrix.is_ca)
+            if flag
+        }
         owners = _component_owners(
-            dataset, pipeline.field_order, study.unique_invalid, shards
+            dataset, spki_of, pipeline.field_order, study.unique_invalid,
+            shards,
         )
 
     reader = SegmentReader(corpus)
@@ -614,13 +637,6 @@ def split_corpus(
         owners_by_id = bytes(
             owners[fingerprint] for fingerprint in observed
         )
-        spki_of = {}
-        ca_fingerprints = set()
-        for fingerprint in parent_order:
-            certificate = dataset.certificate(fingerprint)
-            spki_of[fingerprint] = certificate.public_key.fingerprint
-            if certificate.is_ca:
-                ca_fingerprints.add(fingerprint)
 
         infos = []
         for shard in range(shards):
@@ -637,6 +653,33 @@ def split_corpus(
                     parent_digest,
                     link_plan,
                 ))
+        if cache is not None:
+            parent_offsets = reader.array("cert_offsets")
+            parent_der = reader.raw("certificates.der")
+            order_row = {
+                fingerprint: row
+                for row, fingerprint in enumerate(parent_order)
+            }
+
+            def der_of(fingerprint: bytes) -> bytes:
+                row = order_row[fingerprint]
+                return next(iter_der_records(
+                    parent_der[parent_offsets[row]:parent_offsets[row + 1]]
+                ))
+
+            for info in infos:
+                with obs.span("split/artifacts", shard=info.index):
+                    cache.store_shard(
+                        load_dataset(info.path), matrix, parent_digest,
+                        loaded.trust_store,
+                        [
+                            fingerprint for fingerprint in ca_fingerprints
+                            if owners[fingerprint] != info.index
+                        ],
+                        der_of,
+                    )
+            # Release the views before the reader unmaps.
+            del parent_offsets, parent_der
     finally:
         reader.close()
 

@@ -44,6 +44,7 @@ import json
 import multiprocessing
 import time
 from collections import OrderedDict
+from queue import Empty
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.tracking import ASAssignmentStats
@@ -572,7 +573,12 @@ def boot_fleet(
     workers: int = 1,
     timeout: float = 600.0,
 ) -> Tuple[List[multiprocessing.Process], List[str]]:
-    """Start one warmed server process per shard; returns (procs, urls)."""
+    """Start one warmed server process per shard; returns (procs, urls).
+
+    Fails as soon as a shard exits before announcing its URL, naming the
+    shard and its exit code, or when ``timeout`` passes; either way the
+    other shards are shut down first.
+    """
     context = multiprocessing.get_context("spawn")
     queue = context.Queue()
     processes = []
@@ -589,18 +595,29 @@ def boot_fleet(
         processes.append(process)
     urls: Dict[int, str] = {}
     deadline = time.monotonic() + timeout
-    while len(urls) < len(processes):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0 or not any(
-            process.is_alive() for process in processes
-        ):
-            shutdown_fleet(processes)
-            raise TimeoutError("fleet shards did not boot in time")
-        try:
-            shard, url = queue.get(timeout=min(remaining, 1.0))
-        except Exception:
-            continue
-        urls[shard] = url
+    try:
+        while len(urls) < len(processes):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("fleet shards did not boot in time")
+            try:
+                shard, url = queue.get(timeout=min(remaining, 0.5))
+            except Empty:
+                # Nothing announced meanwhile: a shard that has exited
+                # never will.
+                for info, process in zip(manifest.shard_infos, processes):
+                    if info.index not in urls \
+                            and process.exitcode is not None:
+                        raise RuntimeError(
+                            f"fleet shard {info.index} ({info.path.name}) "
+                            f"exited with code {process.exitcode} before "
+                            "it served"
+                        )
+                continue
+            urls[shard] = url
+    except BaseException:
+        shutdown_fleet(processes)
+        raise
     return processes, [urls[shard] for shard in sorted(urls)]
 
 

@@ -61,6 +61,7 @@ from .obs import runtime as obs_runtime
 from .obs.metrics import MetricsRegistry
 from .obs.trace import Tracer
 from .scanner.dataset import ScanDataset
+from .x509.certificate import Certificate
 from .x509.truststore import TrustStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -83,7 +84,7 @@ class Study:
         metrics: Optional[MetricsRegistry] = None,
         observe: bool = False,
         cache: Optional["ArtifactCache"] = None,
-        extra_intermediates: Iterable[bytes] = (),
+        extra_intermediates: Iterable[Certificate] = (),
         link_plan: Optional[Iterable[str]] = None,
     ) -> None:
         self.dataset = dataset
@@ -92,11 +93,12 @@ class Study:
         self.registry = registry
         #: Process fan-out for the independent per-feature passes.
         self.workers = workers
-        #: Extra intermediate-CA DERs pooled into §4.2 chain building on
-        #: top of the corpus's own certificates.  A shard of a split
-        #: corpus carries the parent's CA set here so its verdicts match
-        #: the parent's exactly (transvalid chains need issuers that may
-        #: live on other shards).
+        #: Extra intermediate CA certificates (parsed) pooled into §4.2
+        #: chain building on top of the corpus's own certificates.  A
+        #: shard of a split corpus carries the parent's off-shard CAs
+        #: here so its verdicts match the parent's exactly (transvalid
+        #: chains need issuers that may live on other shards).  Cached
+        #: verdicts are keyed on their fingerprints too.
         self.extra_intermediates = tuple(extra_intermediates)
         #: Pinned §6.4.3 field order (feature names).  When set — e.g.
         #: from a shard container's ``fleet.link_plan`` — the iterative
@@ -208,30 +210,25 @@ class Study:
             loaded = self.cache.load(
                 self.dataset, trust_store=self.trust_store,
                 workers=self.workers,
+                extra_fingerprints=self._extra_fingerprints(),
             )
         if loaded.kernels:
             self._kernels_built = True
-        if (
-            loaded.validation is not None
-            and self._validation is None
-            and not self.extra_intermediates
-        ):
-            # Cached verdicts are keyed by corpus + trust-store digest
-            # only; extra intermediates change chain building, so a
-            # study carrying them must recompute (and never store).
+        if loaded.validation is not None and self._validation is None:
             self._validation = loaded.validation
+
+    def _extra_fingerprints(self) -> list[bytes]:
+        return [cert.fingerprint for cert in self.extra_intermediates]
 
     def _store_artifacts(self) -> None:
         """Persist the currently built artifacts (no-op without a cache)."""
         if self.cache is None:
             return
-        validation = (
-            None if self.extra_intermediates else self._validation
-        )
         with self._stage("artifacts.store"):
             self.cache.store(
-                self.dataset, validation=validation,
+                self.dataset, validation=self._validation,
                 trust_store=self.trust_store, workers=self.workers,
+                extra_fingerprints=self._extra_fingerprints(),
             )
 
     # --- §4.2 ------------------------------------------------------------------

@@ -12,6 +12,8 @@ linking.  CI runs this module under two hash seeds, so iteration-order
 luck cannot hide a divergence.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,12 +23,17 @@ from repro.core.analysis.longevity import lifetimes, validity_periods
 from repro.core.consistency import evaluate_link_result, group_consistency
 from repro.core.dedup import classify_unique_certificates
 from repro.core.features import Feature, absence_rates, non_uniqueness_census
-from repro.core.kernels import ConsistencyCache, fused_group_levels
+from repro.core.kernels import (
+    ConsistencyCache,
+    FeatureMatrix,
+    fused_group_levels,
+)
 from repro.core.linking import group_by_feature, link_on_feature
 from repro.core.pipeline import iterative_link, lifetime_improvement
 from repro.core.validation import validate_dataset
 from repro.datasets.synthetic import generate
 from repro.internet.population import WorldConfig
+from repro.io import load_dataset, save_dataset
 from repro.io.artifacts import ArtifactCache
 from repro.scanner.dataset import ScanDataset
 from repro.serve.engine import _census_aggregates
@@ -221,15 +228,26 @@ def _assert_self_signed_column(matrix, certificates):
             certificate.is_self_signed()
 
 
+def _assert_is_ca_column(matrix, certificates):
+    assert len(matrix.is_ca) == len(certificates)
+    for fingerprint, certificate in certificates.items():
+        assert matrix.is_ca[matrix.rows[fingerprint]] == certificate.is_ca
+
+
 def test_self_signed_column(case):
     dataset = case[0]
     _assert_self_signed_column(dataset.feature_matrix, dataset.certificates)
     assert any(dataset.feature_matrix.self_signed)
 
 
-@pytest.mark.parametrize("order", ["stored", "reversed"])
-def test_self_signed_column_after_rpa_decode(case, order, tmp_path):
+def test_is_ca_column(case):
     dataset = case[0]
+    _assert_is_ca_column(dataset.feature_matrix, dataset.certificates)
+
+
+def _decoded(dataset, order, tmp_path):
+    """The matrix stored to an ``.rpa`` and decoded into a dataset whose
+    certificate table is in ``order``; (matrix, that table)."""
     writer = ScanDataset(list(dataset.scans), dict(dataset.certificates))
     writer.index, writer.intervals, writer.feature_matrix
     cache = ArtifactCache(tmp_path)
@@ -242,7 +260,72 @@ def test_self_signed_column_after_rpa_decode(case, order, tmp_path):
     reader = ScanDataset(list(dataset.scans), certificates)
     assert cache.load(reader).kernels
     assert reader.feature_matrix.fingerprints == list(certificates)
-    _assert_self_signed_column(reader.feature_matrix, certificates)
+    return reader.feature_matrix, certificates
+
+
+@pytest.mark.parametrize("order", ["stored", "reversed"])
+def test_self_signed_column_after_rpa_decode(case, order, tmp_path):
+    _assert_self_signed_column(*_decoded(case[0], order, tmp_path))
+
+
+@pytest.mark.parametrize("order", ["stored", "reversed"])
+def test_is_ca_column_after_rpa_decode(case, order, tmp_path):
+    _assert_is_ca_column(*_decoded(case[0], order, tmp_path))
+
+
+def _assert_matrices_bitwise_equal(left, right):
+    assert left.fingerprints == right.fingerprints
+    assert left.values == right.values
+    # The .rpa stores the value tables as one pickle, which also pins
+    # down object sharing inside them.
+    assert pickle.dumps(left.values, 4) == pickle.dumps(right.values, 4)
+    for feature in Feature:
+        assert left.raw_ids[feature].tobytes() == \
+            right.raw_ids[feature].tobytes()
+        assert left.linkable_ids[feature].tobytes() == \
+            right.linkable_ids[feature].tobytes()
+    assert left.self_signed.tobytes() == right.self_signed.tobytes()
+    assert left.is_ca.tobytes() == right.is_ca.tobytes()
+
+
+@pytest.mark.parametrize("base", ["built", "decoded"])
+def test_restricted_matrix_equals_a_build_over_the_subset(
+    case, base, tmp_path
+):
+    """A shard's matrix, restricted from its parent's by ``extended``,
+    is the one a build over the shard's certificates makes.
+
+    Both sides read certificates parsed from a saved container, as
+    ``repro split`` and a shard do: a certificate made with
+    ``CertificateBuilder`` can share one string between its subject and
+    its issuer name, a parsed one never does, and the pickled tables
+    would show it.
+    """
+    corpus = tmp_path / "corpus.rpz"
+    save_dataset(case[0], corpus)
+    parent = load_dataset(corpus)
+    if base == "decoded":
+        parent.index, parent.intervals, parent.feature_matrix
+        cache = ArtifactCache(tmp_path / "cache")
+        cache.store(parent)
+        parent = load_dataset(corpus)
+        assert cache.load(parent).kernels
+    fingerprints = list(parent.certificates)
+    half = len(fingerprints) // 2
+    subsets = [
+        fingerprints[::2], fingerprints[1::3], fingerprints[:half],
+        fingerprints[:half] + fingerprints[half + 1::2], fingerprints,
+    ]
+    for subset in subsets:
+        parsed = load_dataset(corpus).certificates
+        _assert_matrices_bitwise_equal(
+            FeatureMatrix.extended(
+                parent.feature_matrix, dict.fromkeys(subset)
+            ),
+            FeatureMatrix.from_certificates(
+                {fingerprint: parsed[fingerprint] for fingerprint in subset}
+            ),
+        )
 
 
 # --- property: arbitrary hand-built corpora ---------------------------------

@@ -4,6 +4,7 @@ import pickle
 
 import repro.io.artifacts as artifacts_mod
 from repro.core.kernels import FeatureMatrix
+from repro.core.validation import validate_dataset
 from repro.io import ArtifactCache, load_dataset, save_dataset
 from repro.io.artifacts import columns_digest
 from repro.io.encoding import SegmentReader
@@ -207,6 +208,77 @@ class TestInvalidation:
         assert loaded.validation is None
         assert registry.counters.get("artifacts.invalidated") == 1
         assert registry.counters.get("artifacts.hit") == 1
+
+
+class TestVerdictKey:
+    """Verdicts are keyed on the trust store and the extra intermediates."""
+
+    def test_same_extras_hit_other_or_no_extras_miss(
+        self, tiny_synthetic, tmp_path
+    ):
+        cache = ArtifactCache(tmp_path)
+        trust_store = tiny_synthetic.world.trust_store
+        dataset = fresh_dataset(tiny_synthetic)
+        dataset.index, dataset.intervals, dataset.feature_matrix
+        extras = sorted(dataset.certificates)[:3]
+        cache.store(
+            dataset, validation=validate_dataset(dataset, trust_store),
+            trust_store=trust_store, extra_fingerprints=extras,
+        )
+        outcomes = {}
+        for label, wanted in (
+            ("same", extras[::-1]), ("other", extras[:2]), ("none", ()),
+        ):
+            registry = MetricsRegistry()
+            with obs_runtime.activated(Tracer(), registry):
+                loaded = cache.load(
+                    fresh_dataset(tiny_synthetic), trust_store=trust_store,
+                    extra_fingerprints=wanted,
+                )
+            assert loaded.kernels
+            outcomes[label] = (
+                loaded.validation is not None,
+                registry.counters.get("artifacts.hit", 0),
+                registry.counters.get("artifacts.miss", 0),
+            )
+        assert outcomes == {
+            "same": (True, 2, 0),
+            "other": (False, 1, 1),
+            "none": (False, 1, 1),
+        }
+
+    def test_study_with_extras_stores_and_reloads_its_verdicts(
+        self, tiny_synthetic, tmp_path
+    ):
+        cache = ArtifactCache(tmp_path)
+        world = tiny_synthetic.world
+        cas = [
+            certificate
+            for certificate in tiny_synthetic.scans.certificates.values()
+            if certificate.is_ca
+        ][:2]
+        assert cas
+
+        def study(extras):
+            return Study(
+                dataset=fresh_dataset(tiny_synthetic),
+                trust_store=world.trust_store,
+                as_of=world.routing.origin_as, cache=cache,
+                extra_intermediates=extras, observe=True,
+            )
+
+        cold = study(cas)
+        cold.dedup()
+        warm = study(cas)
+        assert warm.validation().results == cold.validation().results
+        assert artifact_counters(warm) == {"artifacts.hit": 2}
+        assert "validation" not in warm.stage_timings
+        plain = study(())
+        plain.validation()
+        assert artifact_counters(plain) == {
+            "artifacts.hit": 1, "artifacts.miss": 1,
+        }
+        assert "validation" in plain.stage_timings
 
 
 class TestShardedBuilds:

@@ -210,6 +210,7 @@ def _assert_kernels_bitwise_equal(grown, cold):
     for feature, column in matrix.linkable_ids.items():
         assert column.tobytes() == cold_matrix.linkable_ids[feature].tobytes()
     assert matrix.self_signed.tobytes() == cold_matrix.self_signed.tobytes()
+    assert matrix.is_ca.tobytes() == cold_matrix.is_ca.tobytes()
 
 
 class TestExtendedKernels:
@@ -245,8 +246,8 @@ class TestExtendedKernels:
     def test_self_signed_column_over_a_three_day_chain(
         self, world, campaigns, tmp_path
     ):
-        # Each append checks self-signatures for the new certificates
-        # only and copies every base row's flag.
+        # Each append checks self-signatures and CA flags for the new
+        # certificates only and copies every base row's flags.
         _write(world, campaigns, tmp_path / "base.rpz", set(DAYS[:-3]))
         grown = load_dataset(tmp_path / "base.rpz")
         grown.index, grown.intervals, grown.feature_matrix
@@ -257,9 +258,12 @@ class TestExtendedKernels:
             )
             matrix = grown._feature_matrix
             assert len(matrix.self_signed) == len(grown.certificates)
+            assert len(matrix.is_ca) == len(grown.certificates)
             for fingerprint, certificate in grown.certificates.items():
-                assert matrix.self_signed[matrix.rows[fingerprint]] == \
-                    certificate.is_self_signed()
+                row = matrix.rows[fingerprint]
+                assert matrix.self_signed[row] == certificate.is_self_signed()
+                assert matrix.is_ca[row] == certificate.is_ca
+            assert any(matrix.is_ca)
         cold = load_dataset(tmp_path / f"day{DAYS[-1]}.rpz")
         _assert_kernels_bitwise_equal(grown, cold)
 

@@ -10,7 +10,7 @@ from repro.core.features import Feature
 from repro.core.kernels import fused_group_consistency
 from repro.core.linking import link_on_feature
 from repro.core.tracking import summarize_as_assignment
-from repro.io import ArtifactCache
+from repro.io import ARTIFACT_SCHEMA, ArtifactCache
 from repro.io.encoding import SegmentReader, SegmentWriter
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry
@@ -219,6 +219,16 @@ def _rewrite_artifact(path, schema=None, drop=()):
     tmp.replace(path)
 
 
+#: Bundles an older build wrote: the schema each carries (None: the
+#: current one) and the matrix columns it lacks.
+OLD_BUNDLES = {
+    "schema-2": (2, ("matrix.self_signed", "matrix.is_ca")),
+    "no-self-signed-column": (None, ("matrix.self_signed",)),
+    "schema-3": (3, ("matrix.is_ca",)),
+    "no-is-ca-column": (None, ("matrix.is_ca",)),
+}
+
+
 class TestWarmBoot:
     """A boot over a warm cache answers the census without parsing."""
 
@@ -259,24 +269,24 @@ class TestWarmBoot:
             assert 1 <= registry.counters["io.der_parse_total"] <= len(chain)
         booted.close()
 
-    @pytest.mark.parametrize("damage", ["schema-2", "no-self-signed-column"])
+    @pytest.mark.parametrize("damage", list(OLD_BUNDLES))
     def test_old_bundle_is_rebuilt(self, serve_paths, engine, tmp_path, damage):
         cache_dir = tmp_path / "cache"
         shutil.copytree(serve_paths["cache"], cache_dir)
         path = ArtifactCache(cache_dir).path_for(engine.digest)
-        _rewrite_artifact(
-            path, schema=2 if damage == "schema-2" else None,
-            drop=("matrix.self_signed",),
-        )
+        schema, dropped = OLD_BUNDLES[damage]
+        _rewrite_artifact(path, schema=schema, drop=dropped)
         registry = MetricsRegistry()
         with obs_runtime.activated(Tracer(), registry):
             rebuilt = self._open(serve_paths, cache_dir)
             assert rebuilt.respond("/census") == engine.respond("/census")
         rebuilt.close()
         assert registry.counters["artifacts.invalidated"] == (
-            2 if damage == "schema-2" else 1
+            1 if schema is None else 2
         )
-        assert "matrix.self_signed" in SegmentReader(path)
+        reader = SegmentReader(path)
+        assert reader.meta["schema"] == ARTIFACT_SCHEMA
+        assert all(name in reader for name in dropped)
 
 
 class TestResultCache:

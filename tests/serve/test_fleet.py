@@ -7,6 +7,7 @@ to the single server over the whole corpus — including 4xx bodies.
 
 import asyncio
 import json
+import shutil
 import socket
 import time
 
@@ -354,8 +355,6 @@ class TestRouterFailureModes:
     def test_digest_mismatch_is_rejected_at_boot(
         self, fleet, shard_servers, tmp_path
     ):
-        import shutil
-
         clone = tmp_path / "tampered"
         shutil.copytree(fleet.directory, clone)
         victim = clone / fleet.shard_infos[0].path.name
@@ -365,6 +364,26 @@ class TestRouterFailureModes:
         with pytest.raises(ValueError, match="digest mismatch"):
             FleetRouter.open(
                 clone, [server.url for server in shard_servers]
+            )
+
+
+class TestBootFleet:
+    def test_a_shard_that_dies_before_serving_fails_the_boot(
+        self, fleet, serve_paths, tmp_path
+    ):
+        """The boot names the dead shard at once; it does not wait out
+        its timeout while the other shard serves."""
+        clone = tmp_path / "fleet"
+        shutil.copytree(fleet.directory, clone)
+        victim = clone / fleet.shard_infos[1].path.name
+        victim.write_bytes(victim.read_bytes()[:victim.stat().st_size // 2])
+        with pytest.raises(
+            RuntimeError,
+            match=r"^fleet shard 1 \(shard-01\.rpz\) exited with code 1 ",
+        ):
+            router_module.boot_fleet(
+                load_fleet_manifest(clone), serve_paths["environment"],
+                timeout=300,
             )
 
 
