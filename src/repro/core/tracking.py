@@ -10,18 +10,25 @@ candidate *device*.  A device observed for more than a year is "trackable"
 * **reassignment-policy inference** (§7.4 / Figure 11): per AS, the share
   of its tracked devices whose address never changed, and the ASes that
   reassign nearly every device between every scan.
+
+:class:`TrackingState` bundles what the query plane reads of all this —
+the link plan, the devices, the §6.3 public-key groups and each device's
+§7.4 outcome — so an artifact bundle can persist it whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Container, Iterable, Optional, Sequence
 
 from ..net.asn import ASRegistry
 from ..obs import runtime as obs
 from ..scanner.dataset import ScanDataset
 from ..stats.cdf import CDF
 from .consistency import ASLookup
+from .features import Feature
+from .linking import link_on_feature
 from .pipeline import PipelineResult
 
 __all__ = [
@@ -36,6 +43,9 @@ __all__ = [
     "infer_reassignment_policies",
     "ASAssignmentStats",
     "summarize_as_assignment",
+    "DeviceOutcome",
+    "device_key",
+    "TrackingState",
 ]
 
 TRACKABLE_MIN_DAYS = 365
@@ -86,14 +96,28 @@ class TrackedDevice:
         return [per_scan[idx] for idx in sorted(per_scan)]
 
 
+def device_key(fingerprints: Sequence[bytes]) -> str:
+    """A device's content-addressed key: its smallest fingerprint (the
+    roster is sorted), prefixed ``group:`` for a linked group (two or
+    more certificates) and ``cert:`` for an unlinked singleton.  The same
+    device gets the same key whichever corpus partition produced it."""
+    kind = "group" if len(fingerprints) > 1 else "cert"
+    return f"{kind}:{fingerprints[0].hex()[:16]}"
+
+
 def build_tracked_devices(
     dataset: ScanDataset,
     pipeline: PipelineResult,
     fingerprints: Iterable[bytes],
 ) -> list[TrackedDevice]:
-    """Materialize the device view: linked groups + unlinked singletons."""
+    """Materialize the device view: linked groups + unlinked singletons,
+    in device-key order (the same under any ``PYTHONHASHSEED``)."""
     linked = pipeline.linked_fingerprints()
-    devices: list[TrackedDevice] = []
+    rosters = [group.fingerprints for group in pipeline.groups]
+    rosters.extend(
+        (fingerprint,) for fingerprint in fingerprints
+        if fingerprint not in linked
+    )
 
     def sightings_of(fps: tuple[bytes, ...]) -> tuple[tuple[int, int, int], ...]:
         rows = []
@@ -102,27 +126,13 @@ def build_tracked_devices(
                 rows.append((scan_idx, dataset.scans[scan_idx].day, ip))
         return tuple(sorted(rows))
 
-    for group in pipeline.groups:
-        # Content-addressed key (the group's smallest fingerprint — the
-        # roster tuple is sorted) so the same group gets the same key
-        # regardless of which corpus partition produced it.
-        devices.append(
-            TrackedDevice(
-                device_key=f"group:{group.fingerprints[0].hex()[:16]}",
-                fingerprints=group.fingerprints,
-                sightings=sightings_of(group.fingerprints),
-            )
-        )
-    for fingerprint in fingerprints:
-        if fingerprint in linked:
-            continue
-        devices.append(
-            TrackedDevice(
-                device_key=f"cert:{fingerprint.hex()[:16]}",
-                fingerprints=(fingerprint,),
-                sightings=sightings_of((fingerprint,)),
-            )
-        )
+    devices = sorted(
+        (
+            TrackedDevice(device_key(roster), roster, sightings_of(roster))
+            for roster in rosters
+        ),
+        key=lambda device: device.device_key,
+    )
     obs.inc("tracking.devices_built", len(devices))
     return devices
 
@@ -370,6 +380,52 @@ class ASAssignmentStats:
         return self.n_devices > 0 and self.dynamic_share >= 0.75
 
 
+#: One device's §7.4 outcome: (home AS, statically assigned, fully
+#: dynamic — flip rate ≥ 0.999), or None when the device is not
+#: trackable or no sighting resolves to an AS.
+DeviceOutcome = Optional[tuple[int, bool, bool]]
+
+
+def _device_outcomes(
+    devices: Sequence[TrackedDevice],
+    as_of: ASLookup,
+    min_days: int = TRACKABLE_MIN_DAYS,
+) -> list[DeviceOutcome]:
+    """Each device's §7.4 outcome, in device order."""
+    outcomes: list[DeviceOutcome] = []
+    for device in devices:
+        assignment = (
+            _device_assignment(device, as_of)
+            if device.is_trackable(min_days) else None
+        )
+        if assignment is None:
+            outcomes.append(None)
+        else:
+            home_as, static, flip_rate = assignment
+            outcomes.append((home_as, static, flip_rate >= 0.999))
+    return outcomes
+
+
+def _as_counts(
+    outcomes: Iterable[DeviceOutcome],
+) -> dict[int, ASAssignmentStats]:
+    counts: dict[int, list[int]] = {}
+    for outcome in outcomes:
+        if outcome is None:
+            continue
+        home_as, static, fully_dynamic = outcome
+        row = counts.setdefault(home_as, [0, 0, 0])
+        row[0] += 1
+        row[1] += static
+        row[2] += fully_dynamic
+    return {
+        asn: ASAssignmentStats(
+            asn=asn, n_devices=row[0], n_static=row[1], n_fully_dynamic=row[2]
+        )
+        for asn, row in counts.items()
+    }
+
+
 def summarize_as_assignment(
     devices: list[TrackedDevice],
     as_of: ASLookup,
@@ -382,23 +438,87 @@ def summarize_as_assignment(
     over shards of a partitioned corpus can be summed first and
     thresholded once.
     """
-    counts: dict[int, list[int]] = {}
-    for device in devices:
-        if not device.is_trackable(min_days):
-            continue
-        assignment = _device_assignment(device, as_of)
-        if assignment is None:
-            continue
-        home_as, static, flip_rate = assignment
-        row = counts.setdefault(home_as, [0, 0, 0])
-        row[0] += 1
-        if static:
-            row[1] += 1
-        if flip_rate >= 0.999:
-            row[2] += 1
-    return {
-        asn: ASAssignmentStats(
-            asn=asn, n_devices=row[0], n_static=row[1], n_fully_dynamic=row[2]
-        )
-        for asn, row in counts.items()
+    return _as_counts(_device_outcomes(devices, as_of, min_days))
+
+
+def _public_key_groups(
+    dataset: ScanDataset, fingerprints: Iterable[bytes]
+) -> dict[str, tuple[bytes, ...]]:
+    """§6.3's public-key groups over ``fingerprints``: SPKI fingerprint
+    (hex) → the group's sorted roster, in SPKI order."""
+    matrix = dataset.feature_matrix
+    result = link_on_feature(dataset, list(fingerprints), Feature.PUBLIC_KEY)
+    groups = {
+        matrix.raw_value(
+            Feature.PUBLIC_KEY, group.fingerprints[0]
+        ).fingerprint.hex(): group.fingerprints
+        for group in result.groups
     }
+    return dict(sorted(groups.items()))
+
+
+@dataclass
+class TrackingState:
+    """What the query plane reads of §6.3–§7, built or loaded whole.
+
+    The §6.4.3 link plan the pipeline used, the tracked devices in
+    device-key order, the §6.3 public-key groups and each device's §7.4
+    outcome.  The address → device-position index and the per-AS counts
+    follow from them in one pass, so a state loaded from an artifact
+    bundle answers exactly like one computed here.
+    """
+
+    link_plan: tuple[Feature, ...]
+    devices: list[TrackedDevice]
+    key_groups: dict[str, tuple[bytes, ...]]
+    outcomes: list[DeviceOutcome]
+    #: address → positions (in :attr:`devices`) of every device sighted
+    #: there, ascending.
+    track_index: dict[int, list[int]] = field(init=False, repr=False)
+    #: §7.4 counts per home AS, over every trackable device.
+    as_stats: dict[int, ASAssignmentStats] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        track_index: dict[int, list[int]] = {}
+        for position, device in enumerate(self.devices):
+            for ip in dict.fromkeys(map(itemgetter(2), device.sightings)):
+                track_index.setdefault(ip, []).append(position)
+        self.track_index = track_index
+        self.as_stats = _as_counts(self.outcomes)
+
+    @classmethod
+    def build(
+        cls,
+        dataset: ScanDataset,
+        pipeline: PipelineResult,
+        devices: list[TrackedDevice],
+        fingerprints: Iterable[bytes],
+        as_of: ASLookup,
+    ) -> "TrackingState":
+        """Compute the state over ``devices`` tracked from ``pipeline``
+        (``fingerprints``: the deduplicated invalid population)."""
+        return cls(
+            link_plan=tuple(pipeline.field_order),
+            devices=devices,
+            key_groups=_public_key_groups(dataset, fingerprints),
+            outcomes=_device_outcomes(devices, as_of),
+        )
+
+    def restricted(self, fingerprints: Container[bytes]) -> "TrackingState":
+        """The state of a partition-closed subset of the certificates —
+        a shard's, when ``fingerprints`` are the shard's: devices and
+        key groups never straddle a shard, so each is kept or dropped
+        whole, with its outcome, in the same order."""
+        kept = [
+            position for position, device in enumerate(self.devices)
+            if device.fingerprints[0] in fingerprints
+        ]
+        return TrackingState(
+            link_plan=self.link_plan,
+            devices=[self.devices[position] for position in kept],
+            key_groups={
+                spki: roster for spki, roster in self.key_groups.items()
+                if roster[0] in fingerprints
+            },
+            outcomes=[self.outcomes[position] for position in kept],
+        )

@@ -40,12 +40,18 @@ Segment groups:
   blob with per-record lengths, plus the DER of chain members that are
   not corpus certificates (roots, and a shard's off-shard CAs), gated by
   :func:`verdict_key` — a digest of the trust store and of the extra
-  intermediates the verdicts were computed with.
+  intermediates the verdicts were computed with;
+* ``track.*``     — the §6.3–§7 state the query plane reads
+  (:class:`~repro.core.tracking.TrackingState`): the link plan, the
+  tracked devices (rosters and sightings), the public-key groups and
+  each device's §7.4 outcome, gated by :func:`tracking_key` and by a
+  SHA-256 over its own segments.
 
 ``repro split`` writes each shard's bundle itself
 (:meth:`ArtifactCache.store_shard`): the matrix restricted from the
-parent's and the verdicts copied from the parent bundle's columns, so a
-shard boots warm without parsing a certificate.
+parent's, the verdicts copied from the parent bundle's columns and the
+tracking state restricted from the parent's, so a shard boots warm
+without parsing a certificate or recomputing a device.
 
 A warm load **maps** the container: fixed-stride segments come back as
 ``memoryview``s over the shared ``mmap`` (the ``artifacts/map`` span),
@@ -61,7 +67,9 @@ Any failure to read, decode, or sanity-check an artifact — truncation,
 a schema bump, a digest mismatch, a pre-format-3 ZIP artifact — degrades
 to a rebuild, never to an error; counters ``artifacts.hit`` / ``miss`` /
 ``invalidated`` / ``extended`` (one per requested section) record which
-way each load went.
+way each load went.  A store re-encodes only what it was handed anew: a
+section the file already holds under the same key, and that this cache
+has read or written intact, is copied as raw segment bytes.
 
 Delta-chain lineage (PR 7): a ``lineage.json`` sidecar maps each
 appended corpus digest to ``{"base": ..., "chain": [...]}`` — the
@@ -84,7 +92,7 @@ import pathlib
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -113,6 +121,7 @@ from .encoding import (
     SegmentReader,
     SegmentWriter,
     as_array,
+    le_bytes,
     le_view,
     pack_fingerprints,
     read_container_meta,
@@ -120,6 +129,7 @@ from .encoding import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from ..core.tracking import TrackingState
     from ..core.validation import ValidationReport
     from ..scanner.dataset import ScanDataset
     from ..x509.truststore import TrustStore
@@ -130,6 +140,7 @@ __all__ = [
     "LoadedArtifacts",
     "columns_digest",
     "file_digest",
+    "tracking_key",
     "verdict_key",
 ]
 
@@ -137,8 +148,9 @@ __all__ = [
 #: invalidated (fall back to a rebuild), never misread.  Schema 1 was
 #: the pre-mmap ZIP-of-pickles layout; schema 2 lacked the
 #: ``matrix.self_signed`` column; schema 3 lacked ``matrix.is_ca`` and
-#: keyed verdicts on the trust store alone.
-ARTIFACT_SCHEMA = 4
+#: keyed verdicts on the trust store alone; schema 4 lacked the
+#: ``tracking`` section.
+ARTIFACT_SCHEMA = 5
 
 #: Streaming chunk size for archive-byte digests.
 _CHUNK = 1 << 20
@@ -147,7 +159,17 @@ _CHUNK = 1 << 20
 _SECTION_PREFIXES = {
     "kernels": ("columns.", "index.", "intervals.", "matrix."),
     "validation": ("val.",),
+    "tracking": ("track.",),
 }
+
+#: The tracking section's segments in write order; ``track.sha256``
+#: covers all of them.
+_TRACK_SEGMENTS = (
+    "track.key", "track.plan", "track.roster_lens", "track.rosters",
+    "track.sighting_lens", "track.sighting_scans", "track.sighting_ips",
+    "track.home_as", "track.outcome_flags", "track.key_spkis",
+    "track.key_lens", "track.key_members",
+)
 
 #: Sidecar recording which corpus digests are delta-appends of which
 #: bases — the ``(base_digest, delta_chain)`` keying of warm loads.
@@ -248,6 +270,34 @@ def verdict_key(
     digest.update(DIGEST_META.pack(len(roots), len(extras)))
     for fingerprint in roots + extras:
         digest.update(fingerprint)
+    return digest.hexdigest()
+
+
+def tracking_key(
+    verdicts: str, as_of, link_plan: Optional[Sequence] = None
+) -> Optional[str]:
+    """What the tracking section depends on besides the corpus: the
+    :func:`verdict_key` of the verdicts the devices were derived from,
+    the :meth:`~repro.net.bgp.RoutingHistory.digest` of the routing
+    history ``as_of`` reads (link order and §7.4 outcomes depend on it)
+    and the pinned link plan (None: the plan was derived from Table 6).
+
+    None when ``as_of`` is not a routing history's ``origin_as``: with
+    no history to digest, the section is neither loaded nor stored.
+    """
+    from ..net.bgp import RoutingHistory
+
+    history = getattr(as_of, "__self__", None)
+    if not isinstance(history, RoutingHistory) \
+            or as_of != history.origin_as:
+        return None
+    plan = None if link_plan is None else [
+        feature.value for feature in link_plan
+    ]
+    digest = hashlib.sha256(b"repro-tracking/1\n")
+    digest.update(
+        json.dumps([verdicts, history.digest(), plan]).encode("utf-8")
+    )
     return digest.hexdigest()
 
 
@@ -402,6 +452,63 @@ def _write_verdicts(
         "val.chain_fps", pack_fingerprints(chain_fps), stride=FP_LEN
     )
     writer.add_pickle("val.extra", extra_der)
+
+
+def _write_tracking(
+    writer: SegmentWriter, key: str, state: "TrackingState"
+) -> None:
+    """Columnar tracking state: per-device roster and sighting lengths
+    over flat fingerprint, scan-index and address columns (a sighting's
+    day is its scan's), the §7.4 outcome as a home-AS column (-1: none)
+    and a flag byte (bit 0 static, bit 1 fully dynamic), and the key
+    groups as SPKIs with per-group lengths over a flat roster blob.
+    Devices and groups keep the state's order (device key, SPKI), so the
+    bytes do not depend on ``PYTHONHASHSEED``."""
+    roster_lens, sighting_lens = array("I"), array("I")
+    scans, ips = array("I"), array("I")
+    rosters: list[bytes] = []
+    for device in state.devices:
+        roster_lens.append(len(device.fingerprints))
+        rosters.extend(device.fingerprints)
+        sighting_lens.append(len(device.sightings))
+        for scan, _, ip in device.sightings:
+            scans.append(scan)
+            ips.append(ip)
+    home_as, flags = array("q"), array("B")
+    for outcome in state.outcomes:
+        if outcome is None:
+            home_as.append(-1)
+            flags.append(0)
+        else:
+            home_as.append(outcome[0])
+            flags.append(outcome[1] | outcome[2] << 1)
+    key_lens = array("I", (len(roster) for roster in state.key_groups.values()))
+    members = [fp for roster in state.key_groups.values() for fp in roster]
+
+    def json_bytes(payload) -> bytes:
+        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+    def fingerprints(values) -> tuple:
+        return ("bytes", pack_fingerprints(values), {"stride": FP_LEN})
+
+    def column(values) -> tuple:
+        return ("array", le_bytes(values), {"typecode": values.typecode})
+
+    segments = dict(zip(_TRACK_SEGMENTS, (
+        ("json", json_bytes(key), {}),
+        ("json", json_bytes([feature.value for feature in state.link_plan]),
+         {}),
+        column(roster_lens), fingerprints(rosters),
+        column(sighting_lens), column(scans), column(ips),
+        column(home_as), column(flags),
+        fingerprints([bytes.fromhex(spki) for spki in state.key_groups]),
+        column(key_lens), fingerprints(members),
+    )))
+    check = hashlib.sha256()
+    for name, (kind, payload, extra) in segments.items():
+        check.update(payload)
+        writer.add_chunks(name, (payload,), kind=kind, **extra)
+    writer.add_json("track.sha256", check.hexdigest())
 
 
 def _copy_section(
@@ -605,21 +712,27 @@ def _decode_validation(
     shapes and id ranges, the chain blob length, set equality with the
     corpus, every chain fingerprint naming a corpus certificate, a
     trust-store root or a stored extra, and the extras (a handful of
-    CA DERs) parsing to their fingerprints.
+    CA DERs) hashing to their fingerprints.  An extra parses only when
+    a verdict whose chain names it is read.
     """
     from ..core.validation import ValidationReport
 
     certificates = dataset.certificates
     roots = {root.fingerprint: root for root in trust_store}
-    extras = {}
-    for fingerprint, der in reader.pickle("val.extra").items():
-        extras[fingerprint] = Certificate.from_der(der)
-        if extras[fingerprint].fingerprint != fingerprint:
+    extras = reader.pickle("val.extra")
+    for fingerprint, der in extras.items():
+        if hashlib.sha256(der).digest() != fingerprint:
             raise ValueError("artifact validation extra mismatch")
+    parsed: dict[bytes, Certificate] = {}
 
     def resolve(fingerprint: bytes) -> Certificate:
-        return certificates.get(fingerprint) or roots.get(fingerprint) \
-            or extras[fingerprint]
+        certificate = certificates.get(fingerprint) \
+            or roots.get(fingerprint) or parsed.get(fingerprint)
+        if certificate is None:
+            certificate = parsed[fingerprint] = Certificate.from_der(
+                extras[fingerprint]
+            )
+        return certificate
 
     status_table = [VerifyStatus(value) for value in reader.json("val.statuses")]
     details = reader.json("val.details")
@@ -674,6 +787,77 @@ def _decode_validation(
     )
 
 
+def _decode_tracking(
+    reader: SegmentReader, dataset: "ScanDataset", key: str
+) -> Optional["TrackingState"]:
+    """The stored tracking state, or None when it is stored under
+    another key.  ``track.sha256`` is checked over every segment of the
+    section first, so a flipped byte or a truncated segment raises here,
+    as do column shapes that disagree."""
+    from ..core.features import Feature
+    from ..core.tracking import TrackedDevice, TrackingState, device_key
+
+    check = hashlib.sha256()
+    for name in _TRACK_SEGMENTS:
+        check.update(reader.raw(name))
+    if check.hexdigest() != reader.json("track.sha256"):
+        raise ValueError("artifact tracking checksum mismatch")
+    if reader.json("track.key") != key:
+        return None
+    roster_lens = reader.array("track.roster_lens")
+    rosters = unpack_fingerprints(
+        reader.bytes("track.rosters", materialize=True)
+    )
+    sighting_lens = reader.array("track.sighting_lens")
+    scans = reader.array("track.sighting_scans")
+    ips = reader.array("track.sighting_ips")
+    home_as = reader.array("track.home_as")
+    flags = reader.array("track.outcome_flags")
+    key_lens = reader.array("track.key_lens")
+    members = unpack_fingerprints(
+        reader.bytes("track.key_members", materialize=True)
+    )
+    spkis = unpack_fingerprints(
+        reader.bytes("track.key_spkis", materialize=True)
+    )
+    n_devices = len(roster_lens)
+    if not (len(sighting_lens) == len(home_as) == len(flags) == n_devices
+            and sum(roster_lens) == len(rosters)
+            and sum(sighting_lens) == len(scans) == len(ips)
+            and len(key_lens) == len(spkis)
+            and sum(key_lens) == len(members)):
+        raise ValueError("artifact tracking shape mismatch")
+    days = [scan.day for scan in dataset.scans]
+    if max(scans, default=-1) >= len(days):
+        raise ValueError("artifact tracking scan out of range")
+    sightings = list(zip(scans, [days[scan] for scan in scans], ips))
+    devices = []
+    roster_at = sighting_at = 0
+    for n_roster, n_sightings in zip(roster_lens, sighting_lens):
+        roster = tuple(rosters[roster_at:roster_at + n_roster])
+        devices.append(TrackedDevice(
+            device_key(roster), roster,
+            tuple(sightings[sighting_at:sighting_at + n_sightings]),
+        ))
+        roster_at += n_roster
+        sighting_at += n_sightings
+    member_iter = iter(members)
+    return TrackingState(
+        link_plan=tuple(
+            Feature(name) for name in reader.json("track.plan")
+        ),
+        devices=devices,
+        key_groups={
+            spki.hex(): tuple(islice(member_iter, length))
+            for spki, length in zip(spkis, key_lens)
+        },
+        outcomes=[
+            None if asn < 0 else (asn, bool(flag & 1), bool(flag & 2))
+            for asn, flag in zip(home_as, flags)
+        ],
+    )
+
+
 # ---------------------------------------------------------------------------
 # The cache
 # ---------------------------------------------------------------------------
@@ -693,6 +877,10 @@ class ArtifactCache:
 
     def __init__(self, root: Union[str, pathlib.Path]) -> None:
         self.root = pathlib.Path(root)
+        #: (digest, section) → key of every section this cache has read
+        #: (a hit) or written; a later store copies these raw instead of
+        #: re-encoding them.  A section that failed to load is dropped.
+        self._intact: dict[tuple[str, str], str] = {}
 
     def path_for(self, digest: str) -> pathlib.Path:
         return self.root / f"{digest}.rpa"
@@ -740,17 +928,8 @@ class ArtifactCache:
                 obs.inc("artifacts.miss")
             return loaded
         try:
-            reader = SegmentReader(path)
-            meta = reader.meta
-            if meta.get("kind") != "artifacts" \
-                    or meta.get("schema") != ARTIFACT_SCHEMA:
-                raise ValueError(
-                    f"artifact schema {meta.get('schema')!r} != "
-                    f"{ARTIFACT_SCHEMA}"
-                )
-            if meta.get("digest") != digest:
-                raise ValueError("artifact digest mismatch")
-            sections = set(meta.get("sections") or ())
+            reader = self._open_bundle(path, digest)
+            sections = set(reader.meta.get("sections") or ())
         except Exception:
             obs.inc("artifacts.invalidated", n_sections)
             return loaded
@@ -771,14 +950,14 @@ class ArtifactCache:
                     )
                     matrix = _decode_matrix(reader, dataset.certificates)
             except Exception:
-                obs.inc("artifacts.invalidated")
+                self._count(digest, "kernels", "invalidated")
             else:
                 dataset.adopt_kernels(
                     columns=columns, index=index,
                     intervals=intervals, matrix=matrix,
                 )
                 loaded.kernels = True
-                obs.inc("artifacts.hit")
+                self._count(digest, "kernels", "hit", digest)
 
         if trust_store is not None:
             if "validation" not in sections:
@@ -794,10 +973,51 @@ class ArtifactCache:
                         loaded.validation = _decode_validation(
                             reader, dataset, trust_store
                         )
-                        obs.inc("artifacts.hit")
+                        self._count(digest, "validation", "hit", key)
                 except Exception:
-                    obs.inc("artifacts.invalidated")
+                    self._count(digest, "validation", "invalidated")
         return loaded
+
+    def load_tracking(
+        self, dataset: "ScanDataset", key: str, workers: int = 1
+    ) -> Optional["TrackingState"]:
+        """The tracking state stored for ``dataset`` under ``key`` (a
+        :func:`tracking_key`), or None.
+
+        Bumps one of ``artifacts.hit`` / ``miss`` / ``invalidated``: no
+        bundle, no section or another key is a miss; an unreadable
+        bundle or a section that fails its checksum or shape checks is
+        invalidated, and the caller recomputes.
+        """
+        digest = dataset.corpus_digest(workers=workers)
+        path = self.path_for(digest)
+        if not path.exists():
+            obs.inc("artifacts.miss")
+            return None
+        try:
+            reader = self._open_bundle(path, digest)
+            state = None
+            if "tracking" in (reader.meta.get("sections") or ()):
+                state = _decode_tracking(reader, dataset, key)
+        except Exception:
+            self._count(digest, "tracking", "invalidated")
+            return None
+        if state is None:
+            obs.inc("artifacts.miss")
+        else:
+            self._count(digest, "tracking", "hit", key)
+        return state
+
+    def _count(
+        self, digest: str, section: str, outcome: str,
+        key: Optional[str] = None,
+    ) -> None:
+        """Count one section's load; remember it intact on a hit."""
+        obs.inc(f"artifacts.{outcome}")
+        if outcome == "hit":
+            self._intact[(digest, section)] = key
+        else:
+            self._intact.pop((digest, section), None)
 
     # --- lineage (delta-chain warm loads) --------------------------------------
 
@@ -944,12 +1164,11 @@ class ArtifactCache:
             return "miss"
         try:
             with obs.span("artifacts/extend", base=base_digest[:12]):
-                reader = SegmentReader(self.path_for(base_digest))
+                reader = self._open_bundle(
+                    self.path_for(base_digest), base_digest
+                )
                 meta = reader.meta
-                if meta.get("kind") != "artifacts" \
-                        or meta.get("schema") != ARTIFACT_SCHEMA \
-                        or meta.get("digest") != base_digest \
-                        or "kernels" not in (meta.get("sections") or ()):
+                if "kernels" not in (meta.get("sections") or ()):
                     raise ValueError("lineage base artifact unusable")
                 base_rows = meta.get("n_observations")
                 if not isinstance(base_rows, int) \
@@ -1001,17 +1220,22 @@ class ArtifactCache:
         trust_store: Optional["TrustStore"] = None,
         workers: int = 1,
         extra_fingerprints: Iterable[bytes] = (),
+        tracking: Optional[tuple[str, "TrackingState"]] = None,
     ) -> Optional[pathlib.Path]:
         """Persist whatever artifacts ``dataset`` currently holds.
 
         The kernels section is written only when all four kernels are
         built; the validation section only when both ``validation`` and
         ``trust_store`` are given, keyed by :func:`verdict_key` over
-        ``trust_store`` and ``extra_fingerprints``.  Sections already in
-        the file that this call does not rewrite are preserved (raw
-        segment copy, no decode), and the file is replaced atomically,
-        so a partial writer never corrupts a reader.  Returns the
-        artifact path, or None when there was nothing to persist.
+        ``trust_store`` and ``extra_fingerprints``; the tracking section
+        when ``tracking`` — a ``(key, state)`` pair, the key a
+        :func:`tracking_key` — is given.  Sections already in the file
+        that this call does not rewrite are preserved (raw segment copy,
+        no decode), and so are the ones it is handed again under the
+        key the file holds them by, when this cache read or wrote them
+        intact.  The file is replaced atomically, so a partial writer
+        never corrupts a reader.  Returns the artifact path, or None
+        when there was nothing to persist.
         """
         verdicts = None
         if validation is not None and trust_store is not None:
@@ -1019,7 +1243,7 @@ class ArtifactCache:
                 verdict_key(trust_store, extra_fingerprints),
                 *_report_verdicts(validation),
             )
-        return self._write(dataset, verdicts, workers)
+        return self._write(dataset, verdicts, workers, tracking)
 
     def store_shard(
         self,
@@ -1029,6 +1253,7 @@ class ArtifactCache:
         trust_store: "TrustStore",
         extra_fingerprints: Iterable[bytes],
         parent_der: Callable[[bytes], bytes],
+        tracking: Optional[tuple[str, "TrackingState"]] = None,
     ) -> Optional[pathlib.Path]:
         """Persist the bundle of a ``repro split`` shard, byte-identical
         to the one the shard stores when it boots cold, parsing nothing.
@@ -1046,7 +1271,9 @@ class ArtifactCache:
         candidates that both verify a certificate share a key, hence a
         shard, so a shard pooling every off-shard CA builds the parent's
         chains.  Without parent verdicts under ``trust_store`` only the
-        kernels are written.
+        kernels are written.  ``tracking`` is the shard's ``(key,
+        state)``: the parent's state restricted to the shard, keyed as
+        the shard's study keys it.
         """
         from ..core.kernels import FeatureMatrix
 
@@ -1068,20 +1295,33 @@ class ArtifactCache:
                     parent, list(shard.certificates), parent_der
                 ),
             )
-        return self._write(shard, verdicts, workers=1)
+        return self._write(shard, verdicts, 1, tracking)
 
     def _write(
-        self, dataset: "ScanDataset", verdicts, workers: int
+        self, dataset: "ScanDataset", verdicts, workers: int,
+        tracking: Optional[tuple[str, "TrackingState"]] = None,
     ) -> Optional[pathlib.Path]:
         """Write the bundle: the kernels ``dataset`` holds, ``verdicts``
         (``(key, rows, der_of)`` for :func:`_write_verdicts`, or None),
-        and whatever other section the existing file has."""
+        ``tracking`` (``(key, state)``, or None), and whatever other
+        section the existing file has.  A handed section the file holds
+        intact under the same key is copied, not encoded."""
         digest = dataset.corpus_digest(workers=workers)
         columns, index, intervals, matrix = dataset.kernel_state
-        write_kernels = columns is not None and index is not None \
-            and intervals is not None and matrix is not None
-        write_validation = verdicts is not None
-        if not write_kernels and not write_validation:
+        encoders: dict[str, tuple[str, Callable[[SegmentWriter], None]]] = {}
+        if None not in (columns, index, intervals, matrix):
+            encoders["kernels"] = (digest, lambda writer: _write_kernels(
+                writer, columns, index, intervals, matrix
+            ))
+        if verdicts is not None:
+            encoders["validation"] = (verdicts[0], lambda writer: (
+                _write_verdicts(writer, *verdicts, dataset.certificates)
+            ))
+        if tracking is not None:
+            encoders["tracking"] = (tracking[0], lambda writer: (
+                _write_tracking(writer, *tracking)
+            ))
+        if not encoders:
             return None
         path = self.path_for(digest)
         # Preserve sections an earlier (e.g. validation-only) run stored.
@@ -1089,11 +1329,10 @@ class ArtifactCache:
         existing_sections = set(
             existing.meta.get("sections") or ()
         ) if existing is not None else set()
-        sections = []
-        if write_kernels or "kernels" in existing_sections:
-            sections.append("kernels")
-        if write_validation or "validation" in existing_sections:
-            sections.append("validation")
+        sections = [
+            section for section in _SECTION_PREFIXES
+            if section in encoders or section in existing_sections
+        ]
         meta = {
             "kind": "artifacts",
             "schema": ARTIFACT_SCHEMA,
@@ -1107,20 +1346,39 @@ class ArtifactCache:
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
         writer = SegmentWriter(tmp, meta=meta)
         try:
-            if write_kernels:
-                _write_kernels(writer, columns, index, intervals, matrix)
-            elif "kernels" in existing_sections:
-                _copy_section(writer, existing, "kernels")
-            if write_validation:
-                _write_verdicts(writer, *verdicts, dataset.certificates)
-            elif "validation" in existing_sections:
-                _copy_section(writer, existing, "validation")
+            for section in sections:
+                key, encode = encoders.get(section, (None, None))
+                if section in existing_sections and (
+                    encode is None
+                    or self._intact.get((digest, section)) == key
+                ):
+                    _copy_section(writer, existing, section)
+                else:
+                    encode(writer)
             writer.close()
             os.replace(tmp, path)
         except BaseException:
             writer.abort()
             raise
+        for section, (key, _) in encoders.items():
+            self._intact[(digest, section)] = key
         return path
+
+    @staticmethod
+    def _open_bundle(path: pathlib.Path, digest: str) -> SegmentReader:
+        """A reader over ``path``; raises unless it is a current-schema
+        bundle for ``digest``."""
+        reader = SegmentReader(path)
+        meta = reader.meta
+        if meta.get("kind") != "artifacts" \
+                or meta.get("schema") != ARTIFACT_SCHEMA:
+            raise ValueError(
+                f"artifact schema {meta.get('schema')!r} != "
+                f"{ARTIFACT_SCHEMA}"
+            )
+        if meta.get("digest") != digest:
+            raise ValueError("artifact digest mismatch")
+        return reader
 
     def _existing_reader(
         self, path: pathlib.Path, digest: str
@@ -1129,12 +1387,7 @@ class ArtifactCache:
         if not path.exists():
             return None
         try:
-            reader = SegmentReader(path)
-            if reader.meta.get("kind") != "artifacts" \
-                    or reader.meta.get("schema") != ARTIFACT_SCHEMA \
-                    or reader.meta.get("digest") != digest:
-                return None
-            return reader
+            return self._open_bundle(path, digest)
         except Exception:
             return None
 

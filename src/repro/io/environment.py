@@ -15,6 +15,7 @@ import json
 import pathlib
 import struct
 import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Union
 
@@ -94,23 +95,50 @@ def save_environment(
 def load_environment(path: Union[str, pathlib.Path]) -> AnalysisEnvironment:
     """Load an environment written by :func:`save_environment`.
 
-    A missing path raises :class:`~repro.io.encoding.SegmentError` as
-    ``<path>: no such file``, which the CLI prints as one line.
+    A missing path, an unreadable archive, a missing or corrupt member,
+    bad JSON, or a roots blob whose lengths overrun raise
+    :class:`~repro.io.encoding.SegmentError` as ``<path>: <reason>``,
+    which the CLI prints as one line.
     """
     try:
         archive = zipfile.ZipFile(path)
     except FileNotFoundError:
         raise SegmentError(f"{path}: no such file") from None
+    except (OSError, zipfile.BadZipFile) as error:
+        raise SegmentError(
+            f"{path}: not an environment archive ({error})"
+        ) from None
+    members = {}
     with archive:
-        roots_blob = archive.read("roots.der")
-        routing_doc = json.loads(archive.read("routing.json"))
-        as_doc = json.loads(archive.read("asinfo.json"))
+        for name in ("roots.der", "routing.json", "asinfo.json"):
+            try:
+                members[name] = archive.read(name)
+            except KeyError:
+                raise SegmentError(
+                    f"{path}: environment archive has no {name}"
+                ) from None
+            except (OSError, EOFError, zipfile.BadZipFile, zlib.error) as error:
+                raise SegmentError(f"{path}: {name} unreadable ({error})") \
+                    from None
+    try:
+        return _parse_environment(members)
+    except (KeyError, TypeError, ValueError, struct.error) as error:
+        raise SegmentError(f"{path}: malformed environment ({error!r})") \
+            from None
+
+
+def _parse_environment(members: dict[str, bytes]) -> AnalysisEnvironment:
+    roots_blob = members["roots.der"]
+    routing_doc = json.loads(members["routing.json"])
+    as_doc = json.loads(members["asinfo.json"])
 
     store = TrustStore()
     offset = 0
     while offset < len(roots_blob):
         (length,) = _LENGTH.unpack_from(roots_blob, offset)
         offset += _LENGTH.size
+        if offset + length > len(roots_blob):
+            raise ValueError("roots.der record overruns the blob")
         store.add(Certificate.from_der(roots_blob[offset:offset + length]))
         offset += length
 

@@ -47,9 +47,11 @@ lookups O(1) without holding a dict of the corpus in memory.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -57,6 +59,7 @@ from ..obs import runtime as obs
 from ..x509.certificate import Certificate
 from .encoding import (
     FP_HASH_SEGMENT,
+    SegmentError,
     SegmentReader,
     SegmentWriter,
     build_fingerprint_hash,
@@ -74,6 +77,7 @@ __all__ = [
     "OWNERS_NAME",
     "FleetManifest",
     "FleetOwners",
+    "ShardCAs",
     "ShardInfo",
     "load_fleet_manifest",
     "read_shard_fleet",
@@ -200,32 +204,46 @@ class FleetManifest:
 def load_fleet_manifest(
     path: Union[str, pathlib.Path]
 ) -> FleetManifest:
-    """Parse a ``fleet.json`` (or the directory holding one)."""
+    """Parse a ``fleet.json`` (or the directory holding one).
+
+    A missing file, bad JSON or a manifest that lacks a field raise
+    :class:`~repro.io.encoding.SegmentError` as ``<path>: <reason>``,
+    which the CLI prints as one line.
+    """
     path = pathlib.Path(path)
     if path.is_dir():
         path = path / FLEET_MANIFEST_NAME
-    payload = json.loads(path.read_text())
-    if payload.get("kind") != "fleet":
-        raise ValueError(f"not a fleet manifest: {path}")
+    try:
+        payload = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise SegmentError(f"{path}: no such file") from None
+    except ValueError as error:
+        raise SegmentError(f"{path}: not valid JSON ({error})") from None
+    if not isinstance(payload, dict) or payload.get("kind") != "fleet":
+        raise SegmentError(f"{path}: not a fleet manifest")
     base = path.parent
-    infos = tuple(
-        ShardInfo(
-            index=entry["shard"],
-            path=base / entry["path"],
-            digest=entry["digest"],
-            n_certificates=entry["n_certificates"],
-            n_observations=entry["n_observations"],
+    try:
+        infos = tuple(
+            ShardInfo(
+                index=entry["shard"],
+                path=base / entry["path"],
+                digest=entry["digest"],
+                n_certificates=entry["n_certificates"],
+                n_observations=entry["n_observations"],
+            )
+            for entry in payload["shard_files"]
         )
-        for entry in payload["shard_files"]
-    )
-    return FleetManifest(
-        path=path,
-        shards=payload["shards"],
-        parent_digest=payload["parent_digest"],
-        link_plan=tuple(payload["link_plan"]),
-        shard_infos=infos,
-        owners_path=base / payload["owners"],
-    )
+        return FleetManifest(
+            path=path,
+            shards=payload["shards"],
+            parent_digest=payload["parent_digest"],
+            link_plan=tuple(payload["link_plan"]),
+            shard_infos=infos,
+            owners_path=base / payload["owners"],
+        )
+    except (KeyError, TypeError) as error:
+        raise SegmentError(f"{path}: malformed fleet manifest ({error!r})") \
+            from None
 
 
 def verify_fleet(manifest: FleetManifest) -> None:
@@ -246,13 +264,41 @@ def verify_fleet(manifest: FleetManifest) -> None:
             )
 
 
+class ShardCAs(Sequence):
+    """A shard's pooled off-shard CA certificates, parsed on first read.
+
+    :attr:`fingerprints` hashes the stored DER (a fingerprint is its
+    SHA-256), so keying verdicts on the CAs parses nothing; the
+    certificates parse only when something iterates them — chain
+    building when validation runs cold.
+    """
+
+    def __init__(self, ders: Sequence[bytes]) -> None:
+        self._ders = tuple(ders)
+        self._parsed: Optional[tuple[Certificate, ...]] = None
+        self.fingerprints = tuple(
+            hashlib.sha256(der).digest() for der in self._ders
+        )
+
+    def __len__(self) -> int:
+        return len(self._ders)
+
+    def __getitem__(self, index):
+        if self._parsed is None:
+            self._parsed = tuple(
+                Certificate.from_der(der) for der in self._ders
+            )
+        return self._parsed[index]
+
+
 def read_shard_fleet(
     corpus: Union[str, pathlib.Path, "object"]
-) -> "tuple[Optional[dict], tuple[Certificate, ...]]":
+) -> "tuple[Optional[dict], Sequence[Certificate]]":
     """A container's ``fleet`` meta and its pooled off-shard CA certs.
 
     ``(None, ())`` for anything that is not a shard container — the
-    whole-corpus serve path costs one O(1) meta read.
+    whole-corpus serve path costs one O(1) meta read.  The CAs come as
+    :class:`ShardCAs`: read, hashed, not parsed.
     """
     if not isinstance(corpus, (str, pathlib.Path)):
         return None, ()
@@ -263,13 +309,10 @@ def read_shard_fleet(
         fleet = reader.meta.get("fleet")
         if fleet is None:
             return None, ()
-        extras = ()
+        ders = ()
         if FLEET_CAS_SEGMENT in reader:
-            extras = tuple(
-                Certificate.from_der(der)
-                for der in iter_der_records(reader.raw(FLEET_CAS_SEGMENT))
-            )
-        return dict(fleet), extras
+            ders = iter_der_records(reader.raw(FLEET_CAS_SEGMENT))
+        return dict(fleet), ShardCAs(ders)
     finally:
         reader.close()
 
@@ -573,22 +616,24 @@ def split_corpus(
 ) -> FleetManifest:
     """Split a format 3 corpus into ``shards`` shard containers.
 
-    Runs the parent's warm analysis once (validation → dedup →
-    Table 6 → pipeline) to pin the linking plan and compute the
-    analysis-closed partition, then emits each shard O(bytes) by
-    raw-copying owned ranges.  Every key and CA flag comes from the
-    parent's feature matrix, so a warm parent parses no certificate.
-    Deterministic: splitting the same corpus twice yields identical
-    shard digests.
+    Runs the parent's warm analysis once (validation → dedup → the
+    link plan) to pin the linking plan and compute the analysis-closed
+    partition, then emits each shard O(bytes) by raw-copying owned
+    ranges.  Every key and CA flag comes from the parent's feature
+    matrix, so a warm parent parses no certificate.  Deterministic:
+    splitting the same corpus twice yields identical shard digests.
 
-    With a ``cache_dir``, each shard's artifact bundle is written there
-    too (:meth:`~repro.io.artifacts.ArtifactCache.store_shard`), so the
-    shards boot warm.
+    With a ``cache_dir``, the plan comes from the parent's tracking
+    state (loaded from its bundle when warm, so Table 6 never runs) and
+    each shard's artifact bundle is written there too
+    (:meth:`~repro.io.artifacts.ArtifactCache.store_shard`) — kernels,
+    verdicts and the parent's tracking state restricted to the shard —
+    so the shards boot warm.
     """
     from ..core.features import Feature
     from ..study import Study
     from . import load_dataset, load_environment
-    from .artifacts import ArtifactCache
+    from .artifacts import ArtifactCache, tracking_key, verdict_key
 
     if not 1 <= shards <= MAX_SHARDS:
         raise ValueError(f"shard count must be 1..{MAX_SHARDS}: {shards}")
@@ -608,8 +653,13 @@ def split_corpus(
             workers=workers,
             cache=cache,
         )
-        pipeline = study.pipeline()
-        link_plan = [feature.value for feature in pipeline.field_order]
+        study.kernels()
+        state = study.tracking() if cache is not None else None
+        field_order = (
+            state.link_plan if state is not None
+            else study.pipeline().field_order
+        )
+        link_plan = [feature.value for feature in field_order]
         matrix = dataset.feature_matrix
         spki_by_id = [
             key.fingerprint for key in matrix.values[Feature.PUBLIC_KEY]
@@ -625,8 +675,7 @@ def split_corpus(
             if flag
         }
         owners = _component_owners(
-            dataset, spki_of, pipeline.field_order, study.unique_invalid,
-            shards,
+            dataset, spki_of, field_order, study.unique_invalid, shards,
         )
 
     reader = SegmentReader(corpus)
@@ -669,14 +718,22 @@ def split_corpus(
 
             for info in infos:
                 with obs.span("split/artifacts", shard=info.index):
+                    extras = [
+                        fingerprint for fingerprint in ca_fingerprints
+                        if owners[fingerprint] != info.index
+                    ]
+                    key = tracking_key(
+                        verdict_key(loaded.trust_store, extras),
+                        study.as_of, field_order,
+                    )
+                    owned = {
+                        fingerprint for fingerprint, owner in owners.items()
+                        if owner == info.index
+                    }
                     cache.store_shard(
                         load_dataset(info.path), matrix, parent_digest,
-                        loaded.trust_store,
-                        [
-                            fingerprint for fingerprint in ca_fingerprints
-                            if owners[fingerprint] != info.index
-                        ],
-                        der_of,
+                        loaded.trust_store, extras, der_of,
+                        tracking=(key, state.restricted(owned)),
                     )
             # Release the views before the reader unmaps.
             del parent_offsets, parent_der

@@ -19,6 +19,8 @@ simulator and trivially correct.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -173,6 +175,20 @@ class RoutingHistory:
     def snapshot_days(self) -> list[int]:
         """Days on which the routing state changed."""
         return list(self._days)
+
+    def digest(self) -> str:
+        """SHA-256 over every snapshot's day and routes (sorted by
+        prefix): equal for equal routing states, however the history
+        was built, saved or loaded."""
+        snapshots = [
+            [day, sorted(
+                [route.prefix.network, route.prefix.length, route.asn]
+                for route in table
+            )]
+            for day, table in zip(self._days, self._tables)
+        ]
+        encoded = json.dumps(snapshots, separators=(",", ":")).encode()
+        return hashlib.sha256(b"repro-routing/1\n" + encoded).hexdigest()
 
     def add_snapshot(self, day: int, table: PrefixTable) -> None:
         """Insert a new snapshot, keeping days sorted and unique."""

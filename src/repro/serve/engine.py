@@ -27,10 +27,12 @@ Perf architecture, per the three levers this module exists for:
   cache is given) — they share physical pages with the parent, so p99
   stays flat as concurrency grows instead of serializing on the GIL.
 
-A boot over a warm artifact cache parses no certificate, and neither
-does ``/cert``: the census, the key-group SPKIs and every ``/cert``
-field read the feature matrix, the interval arrays and the verdicts'
-status column, and a cached verdict decodes only when read whole.
+A boot over a warm artifact cache parses no certificate and computes
+no device, and neither does ``/cert``: the bundle's tracking section
+holds the devices, key groups and §7.4 outcomes, the census, the
+key-group SPKIs and every ``/cert`` field read the feature matrix, the
+interval arrays and the verdicts' status column, and a cached verdict
+decodes only when read whole.
 
 The engine is transport-free on purpose: :mod:`repro.serve.http` is a
 thin asyncio shell over :meth:`QueryEngine.respond` that asks
@@ -45,13 +47,12 @@ import json
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from ..core.analysis.longevity import validity_days
 from ..core.features import Feature
 from ..core.kernels import fused_group_consistency
-from ..core.linking import link_on_feature
-from ..core.tracking import ASAssignmentStats, summarize_as_assignment
+from ..core.tracking import ASAssignmentStats, TrackingState
 from ..obs import runtime as obs_runtime
 from ..study import Study
 
@@ -289,9 +290,7 @@ class QueryEngine:
         )
         self._lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._key_groups: "Optional[Dict[str, tuple]]" = None
-        self._track_index: "Optional[Dict[int, List[int]]]" = None
-        self._as_stats: "Optional[Dict[int, ASAssignmentStats]]" = None
+        self._state: Optional[TrackingState] = None
         self._warmed = False
 
     @classmethod
@@ -308,8 +307,9 @@ class QueryEngine:
         A shard container produced by ``repro split`` carries a
         ``fleet`` meta block; the engine then pins the parent's linking
         plan and pools the parent's off-shard CA certificates into
-        validation, so every shard-local verdict, group, and device
-        matches the parent corpus restricted to the shard.
+        validation (parsed only if validation runs cold), so every
+        shard-local verdict, group, and device matches the parent corpus
+        restricted to the shard.
         """
         from ..io import load_dataset, load_environment
         from ..io.artifacts import ArtifactCache
@@ -346,10 +346,13 @@ class QueryEngine:
     def warm(self) -> "QueryEngine":
         """Build every stage queries touch, once, before traffic.
 
-        Validation, kernels, dedup, the linking pipeline, the tracked
-        device population, the key→group map, and the address→device
-        index all materialize here; a warmed engine answers cold
-        lookups without ever entering a study stage.
+        Validation, kernels and the tracking state — the tracked device
+        population, the key→group map, the address→device index and
+        the per-AS §7.4 counts (:meth:`Study.tracking`) — materialize
+        here; a warmed engine answers cold lookups without ever entering
+        a study stage.  Over a warm artifact cache all three load from
+        the corpus's bundle: no study stage runs and nothing passes over
+        the population but the state's own one-pass index build.
         """
         if self._warmed:
             return self
@@ -357,25 +360,7 @@ class QueryEngine:
             study = self.study
             study.validation()
             study.kernels()
-            study.pipeline()
-            devices = study.tracked_devices()
-            result = link_on_feature(
-                self.dataset, list(study.unique_invalid), Feature.PUBLIC_KEY
-            )
-            matrix = self.dataset.feature_matrix
-            key_groups: Dict[str, tuple] = {}
-            for group in result.groups:
-                key = matrix.raw_value(Feature.PUBLIC_KEY, group.fingerprints[0])
-                key_groups[key.fingerprint.hex()] = group.fingerprints
-            self._key_groups = key_groups
-            track_index: Dict[int, List[int]] = {}
-            for position, device in enumerate(devices):
-                for _, _, ip in device.sightings:
-                    bucket = track_index.setdefault(ip, [])
-                    if not bucket or bucket[-1] != position:
-                        bucket.append(position)
-            self._track_index = track_index
-            self._as_stats = summarize_as_assignment(devices, study.as_of)
+            self._state = study.tracking()
         self._warmed = True
         return self
 
@@ -534,8 +519,7 @@ class QueryEngine:
     def key_group(self, spki_hex: str) -> dict:
         """The §6.3 public-key group behind one SPKI fingerprint."""
         self.warm()
-        assert self._key_groups is not None
-        fingerprints = self._key_groups.get(spki_hex.lower())
+        fingerprints = self._state.key_groups.get(spki_hex.lower())
         if fingerprints is None:
             raise QueryError(404, f"no linked group for key {spki_hex}")
         consistency = self._group_consistency(fingerprints)
@@ -567,11 +551,10 @@ class QueryEngine:
     def track(self, ip_text: str) -> dict:
         """Every tracked device (§7) ever sighted at one address."""
         self.warm()
-        assert self._track_index is not None
         ip = _parse_ip(ip_text)
-        devices = self.study.tracked_devices()
+        devices = self._state.devices
         rows = []
-        for position in self._track_index.get(ip, ()):
+        for position in self._state.track_index.get(ip, ()):
             device = devices[position]
             rows.append({
                 "device_key": device.device_key,
@@ -593,9 +576,8 @@ class QueryEngine:
     def as_reassignment(self, asn_text: str) -> dict:
         """§7.4's reassignment-policy verdict for one AS."""
         self.warm()
-        assert self._as_stats is not None
         asn = _parse_asn(asn_text)
-        stats = self._as_stats.get(asn)
+        stats = self._state.as_stats.get(asn)
         if stats is None or stats.n_devices < REASSIGNMENT_MIN_DEVICES:
             raise QueryError(
                 404, f"no tracked-device population for AS {asn}"
@@ -666,13 +648,12 @@ class QueryEngine:
         ``/as/<asn>/reassignment`` answers 200.
         """
         self.warm()
-        assert self._key_groups is not None and self._track_index is not None
-        assert self._as_stats is not None
+        state = self._state
         fingerprints = _strided(
             sorted(self.study.validation().results), n
         )
         asns = sorted(
-            asn for asn, stats in self._as_stats.items()
+            asn for asn, stats in state.as_stats.items()
             if stats.n_devices >= REASSIGNMENT_MIN_DEVICES
         )
         return {
@@ -680,10 +661,10 @@ class QueryEngine:
             "fingerprints": [
                 fingerprint.hex() for fingerprint in fingerprints
             ],
-            "keys": _strided(sorted(self._key_groups), n),
+            "keys": _strided(sorted(state.key_groups), n),
             "ips": [
                 _format_ip(ip) for ip in _strided(
-                    sorted(self._track_index), n
+                    sorted(state.track_index), n
                 )
             ],
             "asns": _strided(asns, n),
@@ -724,28 +705,26 @@ class QueryEngine:
         do not sort like the addresses they name.
         """
         self.warm()
-        assert self._key_groups is not None and self._track_index is not None
-        assert self._as_stats is not None
+        state = self._state
         return {
             "digest": self.digest,
             "fingerprints": [
                 fingerprint.hex()
                 for fingerprint in sorted(self.study.validation().results)
             ],
-            "keys": sorted(self._key_groups),
-            "ips": sorted(self._track_index),
+            "keys": sorted(state.key_groups),
+            "ips": sorted(state.track_index),
             "as_devices": {
                 str(asn): stats.n_devices
-                for asn, stats in self._as_stats.items()
+                for asn, stats in state.as_stats.items()
             },
         }
 
     def fleet_as(self, asn_text: str) -> dict:
         """Raw §7.4 counts for one AS (200 with zeros when unseen)."""
         self.warm()
-        assert self._as_stats is not None
         asn = _parse_asn(asn_text)
-        stats = self._as_stats.get(asn) or ASAssignmentStats(
+        stats = self._state.as_stats.get(asn) or ASAssignmentStats(
             asn=asn, n_devices=0, n_static=0, n_fully_dynamic=0
         )
         return {

@@ -10,7 +10,10 @@ Each stage is computed once and cached; downstream stages pull upstream
 ones automatically, so ``study.movement()`` alone runs everything it
 needs.  Construct from a synthetic dataset with :meth:`from_synthetic`,
 or from any :class:`~repro.scanner.dataset.ScanDataset` plus a trust
-store, AS lookup, and registry for real scan corpora.
+store, AS lookup, and registry for real scan corpora.  With an artifact
+cache, kernels and verdicts load from it, and so does the tracking state
+(:meth:`Study.tracking`: link plan, devices, key groups, §7.4
+outcomes), so a warm study never runs Table 6.
 
 Every cached stage runs inside a :class:`~repro.obs.trace.Tracer` span,
 so a study always carries its own span tree (:attr:`Study.trace`);
@@ -30,13 +33,16 @@ pickling them per process.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from contextlib import contextmanager
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .core.consistency import ASLookup
 from .core.dedup import DedupResult, classify_unique_certificates
 from .core.features import Feature
 from .core.pipeline import (
+    TABLE6_FEATURES,
     FeatureEvaluation,
     LifetimeImprovement,
     PipelineResult,
@@ -49,6 +55,7 @@ from .core.tracking import (
     ReassignmentReport,
     TrackableReport,
     TrackedDevice,
+    TrackingState,
     analyze_movement,
     build_tracked_devices,
     infer_reassignment_policies,
@@ -93,13 +100,19 @@ class Study:
         self.registry = registry
         #: Process fan-out for the independent per-feature passes.
         self.workers = workers
-        #: Extra intermediate CA certificates (parsed) pooled into §4.2
-        #: chain building on top of the corpus's own certificates.  A
-        #: shard of a split corpus carries the parent's off-shard CAs
-        #: here so its verdicts match the parent's exactly (transvalid
-        #: chains need issuers that may live on other shards).  Cached
-        #: verdicts are keyed on their fingerprints too.
-        self.extra_intermediates = tuple(extra_intermediates)
+        #: Extra intermediate CA certificates pooled into §4.2 chain
+        #: building on top of the corpus's own certificates.  A shard of
+        #: a split corpus carries the parent's off-shard CAs here so its
+        #: verdicts match the parent's exactly (transvalid chains need
+        #: issuers that may live on other shards).  Cached verdicts are
+        #: keyed on their fingerprints too; a sequence with a
+        #: ``fingerprints`` attribute (a shard's, from
+        #: :func:`~repro.io.split.read_shard_fleet`) is kept as given,
+        #: so its certificates parse only when validation runs cold.
+        self.extra_intermediates = (
+            extra_intermediates if isinstance(extra_intermediates, Sequence)
+            else tuple(extra_intermediates)
+        )
         #: Pinned §6.4.3 field order (feature names).  When set — e.g.
         #: from a shard container's ``fleet.link_plan`` — the iterative
         #: pipeline links in exactly this order instead of re-deriving it
@@ -130,12 +143,14 @@ class Study:
         #: to) disk, keyed by the corpus digest.  Never changes results.
         self.cache = cache
         self._artifacts_attempted = False
+        self._tracking_attempted = False
         self._kernels_built = False
         self._validation: Optional[ValidationReport] = None
         self._dedup: Optional[DedupResult] = None
         self._evaluations: Optional[dict[Feature, FeatureEvaluation]] = None
         self._pipeline: Optional[PipelineResult] = None
         self._devices: Optional[list[TrackedDevice]] = None
+        self._tracking: Optional[TrackingState] = None
 
     @classmethod
     def from_synthetic(
@@ -217,18 +232,55 @@ class Study:
         if loaded.validation is not None and self._validation is None:
             self._validation = loaded.validation
 
-    def _extra_fingerprints(self) -> list[bytes]:
-        return [cert.fingerprint for cert in self.extra_intermediates]
+    def _extra_fingerprints(self) -> Sequence[bytes]:
+        fingerprints = getattr(self.extra_intermediates, "fingerprints", None)
+        if fingerprints is None:
+            fingerprints = [cert.fingerprint for cert in self.extra_intermediates]
+        return fingerprints
+
+    @cached_property
+    def _tracking_key(self) -> Optional[str]:
+        """The tracking section's key (None: no cache, or ``as_of`` reads
+        no routing history — then the section is never loaded or stored)."""
+        if self.cache is None:
+            return None
+        from .io.artifacts import tracking_key, verdict_key
+
+        return tracking_key(
+            verdict_key(self.trust_store, self._extra_fingerprints()),
+            self.as_of, self.link_plan,
+        )
+
+    def _load_tracking(self) -> None:
+        """Try the cache's tracking section once; install it on a hit."""
+        if self._tracking_attempted:
+            return
+        self._tracking_attempted = True
+        key = self._tracking_key
+        if key is None:
+            return
+        with self._stage("artifacts.load"):
+            state = self.cache.load_tracking(
+                self.dataset, key, workers=self.workers
+            )
+        if state is not None:
+            self._tracking = state
+            self._devices = state.devices
 
     def _store_artifacts(self) -> None:
-        """Persist the currently built artifacts (no-op without a cache)."""
+        """Persist the currently built artifacts (no-op without a cache).
+
+        The cache copies what it already holds intact, so each section
+        is encoded once however often this runs."""
         if self.cache is None:
             return
+        key = self._tracking_key if self._tracking is not None else None
         with self._stage("artifacts.store"):
             self.cache.store(
                 self.dataset, validation=self._validation,
                 trust_store=self.trust_store, workers=self.workers,
                 extra_fingerprints=self._extra_fingerprints(),
+                tracking=None if key is None else (key, self._tracking),
             )
 
     # --- §4.2 ------------------------------------------------------------------
@@ -322,20 +374,31 @@ class Study:
     def pipeline(self) -> PipelineResult:
         """The iterative §6.4.3 linking (cached).
 
-        With a pinned :attr:`link_plan` the per-feature evaluations are
-        never consulted (or computed) — the pipeline links in the given
-        order directly.
+        With a pinned :attr:`link_plan`, or the plan a cached tracking
+        state recorded, the per-feature evaluations are never consulted
+        (or computed) — the pipeline links in that order directly.
         """
         if self._pipeline is None:
-            if self.link_plan is not None:
+            plan, excluded = self.link_plan, ()
+            if plan is None and self._evaluations is None:
+                self._load_tracking()
+                if self._tracking is not None:
+                    # A derived plan: Table 6's other fields were excluded.
+                    plan = self._tracking.link_plan
+                    excluded = tuple(
+                        feature for feature in TABLE6_FEATURES
+                        if feature not in plan
+                    )
+            if plan is not None:
                 self.kernels()
                 with self._stage("pipeline"):
                     self._pipeline = iterative_link(
                         self.dataset,
                         self.unique_invalid,
                         self.as_of,
-                        field_order=self.link_plan,
+                        field_order=plan,
                     )
+                self._pipeline.excluded = excluded
             else:
                 evaluations = self.feature_evaluations()
                 with self._stage("pipeline"):
@@ -356,14 +419,46 @@ class Study:
     # --- §7 -----------------------------------------------------------------------
 
     def tracked_devices(self) -> list[TrackedDevice]:
-        """The inferred device population (cached)."""
+        """The inferred device population, in device-key order (cached).
+
+        Through a cache it comes from, or goes into, the tracking state
+        (:meth:`tracking`): loaded on a hit, else built and stored whole.
+        """
+        if self._devices is None:
+            self._load_tracking()
         if self._devices is None:
             pipeline = self.pipeline()
             with self._stage("tracking"):
                 self._devices = build_tracked_devices(
                     self.dataset, pipeline, self.unique_invalid
                 )
+            if self._tracking_key is not None:
+                self._build_tracking()
         return self._devices
+
+    def tracking(self) -> TrackingState:
+        """What the query plane reads of §6.3–§7 (cached): the link plan,
+        the tracked devices, the public-key groups and each device's
+        §7.4 outcome, with the address and per-AS indexes over them.
+
+        Loaded from the cache's tracking section when its key matches
+        (corpus, verdicts, routing history, pinned plan); otherwise
+        computed and, through a cache, stored.
+        """
+        if self._tracking is None:
+            self.tracked_devices()
+        if self._tracking is None:
+            self._build_tracking()
+        return self._tracking
+
+    def _build_tracking(self) -> None:
+        with self._stage("tracking_state"):
+            self._tracking = TrackingState.build(
+                self.dataset, self.pipeline(), self.tracked_devices(),
+                self.unique_invalid, self.as_of,
+            )
+        if self._tracking_key is not None:
+            self._store_artifacts()
 
     def trackable(self, min_days: int = 365) -> TrackableReport:
         """§7.2: trackable-device counts with/without linking."""

@@ -425,6 +425,29 @@ class TestArchiveAndStatus:
         cache.store(writer)
         assert cache.status(digest)["sections"] == ["kernels", "validation"]
 
+    def test_a_cold_study_encodes_each_section_once(
+        self, tiny_synthetic, tmp_path, monkeypatch
+    ):
+        # Three stores (verdicts, kernels, tracking state); each later
+        # one copies what the earlier ones wrote instead of re-encoding.
+        encoded = []
+        for name in ("_write_kernels", "_write_verdicts", "_write_tracking"):
+            original = getattr(artifacts_mod, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                encoded.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(artifacts_mod, name, counting)
+        cache = ArtifactCache(tmp_path)
+        study = make_study(tiny_synthetic, fresh_dataset(tiny_synthetic), cache)
+        study.tracking()
+        digest = study.dataset.corpus_digest()
+        assert cache.status(digest)["sections"] == \
+            ["kernels", "validation", "tracking"]
+        assert sorted(encoded) == \
+            ["_write_kernels", "_write_tracking", "_write_verdicts"]
+
     def test_store_without_artifacts_writes_nothing(
         self, tiny_synthetic, tmp_path
     ):

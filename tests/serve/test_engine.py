@@ -198,8 +198,9 @@ class TestCensusParity:
 
 
 def _rewrite_artifact(path, schema=None, drop=()):
-    """Rewrite an artifact in place under another schema or without some
-    segments, copying every other segment's raw bytes."""
+    """Rewrite an artifact in place under another schema or without the
+    segments whose names start with a ``drop`` entry, copying every
+    other segment's raw bytes."""
     reader = SegmentReader(path)
     meta = dict(reader.meta)
     if schema is not None:
@@ -207,7 +208,7 @@ def _rewrite_artifact(path, schema=None, drop=()):
     tmp = path.with_name(path.name + ".tmp")
     writer = SegmentWriter(tmp, meta=meta)
     for name in reader.names():
-        if name in drop:
+        if name.startswith(tuple(drop)):
             continue
         entry = reader.entry(name)
         writer.add_chunks(
@@ -220,12 +221,13 @@ def _rewrite_artifact(path, schema=None, drop=()):
 
 
 #: Bundles an older build wrote: the schema each carries (None: the
-#: current one) and the matrix columns it lacks.
+#: current one) and the segments it lacks (name prefixes).
 OLD_BUNDLES = {
-    "schema-2": (2, ("matrix.self_signed", "matrix.is_ca")),
+    "schema-2": (2, ("matrix.self_signed", "matrix.is_ca", "track.")),
     "no-self-signed-column": (None, ("matrix.self_signed",)),
-    "schema-3": (3, ("matrix.is_ca",)),
+    "schema-3": (3, ("matrix.is_ca", "track.")),
     "no-is-ca-column": (None, ("matrix.is_ca",)),
+    "schema-4": (4, ("track.",)),
 }
 
 
@@ -260,7 +262,9 @@ class TestWarmBoot:
                 errors.append((err.value.status, err.value.message))
             assert errors[0] == errors[1]
             assert registry.counters.get("io.der_parse_total", 0) == 0
-            assert registry.counters["artifacts.hit"] == 2
+            # Kernels, verdicts and the tracking state all loaded.
+            assert registry.counters["artifacts.hit"] == 3
+            assert "pipeline" not in booted.study.stage_timings
 
             # Reading a verdict itself parses at most its own chain.
             fingerprint = min(validation.valid)
@@ -280,13 +284,18 @@ class TestWarmBoot:
         with obs_runtime.activated(Tracer(), registry):
             rebuilt = self._open(serve_paths, cache_dir)
             assert rebuilt.respond("/census") == engine.respond("/census")
-        rebuilt.close()
         assert registry.counters["artifacts.invalidated"] == (
             1 if schema is None else 2
         )
+        rebuilt.warm()
+        rebuilt.close()
         reader = SegmentReader(path)
         assert reader.meta["schema"] == ARTIFACT_SCHEMA
-        assert all(name in reader for name in dropped)
+        assert reader.meta["sections"] == ["kernels", "validation", "tracking"]
+        assert all(
+            any(name.startswith(prefix) for name in reader.names())
+            for prefix in dropped
+        )
 
 
 class TestResultCache:

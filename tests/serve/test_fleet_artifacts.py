@@ -1,14 +1,15 @@
 """Warm fleet set-up: ``repro split`` writes each shard's artifact bundle.
 
-Split over a warm parent cache parses no certificate, and every shard
-bundle it writes is byte-identical to the one the shard stores when it
-boots cold over an empty cache — so a shard opened after the split loads
-its kernels and verdicts and parses nothing either.  Two worlds carry
-the comparison: the tiny synthetic world and a small one that collects
-TLS handshakes.
+Split over a warm parent cache parses no certificate and runs no Table 6,
+and every shard bundle it writes is byte-identical to the one the shard
+stores when it boots cold over an empty cache — so a shard opened after
+the split loads its kernels, verdicts and tracking state and parses
+nothing either.  Two worlds carry the comparison: the tiny synthetic
+world and a small one that collects TLS handshakes.
 """
 
 import filecmp
+import json
 import shutil
 
 import pytest
@@ -18,6 +19,9 @@ from repro.internet.population import WorldConfig
 from repro.io import (
     AnalysisEnvironment,
     ArtifactCache,
+    load_dataset,
+    load_environment,
+    read_shard_fleet,
     save_dataset,
     save_environment,
     split_corpus,
@@ -26,6 +30,8 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve import QueryEngine
+from repro.serve.engine import _format_ip
+from repro.x509.certificate import Certificate
 
 HANDSHAKE_WORLD = WorldConfig(
     seed=11, n_devices=40, n_websites=10, n_generic_access=10,
@@ -91,7 +97,9 @@ def test_split_writes_the_bundle_a_cold_shard_stores(world, shards, tmp_path):
 def test_split_over_a_warm_parent_parses_no_certificate(world, tmp_path):
     counters = _counted(lambda: _split(world, tmp_path, 2))
     assert counters.get("io.der_parse_total", 0) == 0
-    assert counters["artifacts.hit"] == 2
+    # The parent's kernels, verdicts and tracking state: no Table 6.
+    assert counters["artifacts.hit"] == 3
+    assert counters.get("pipeline.features_evaluated", 0) == 0
 
 
 def test_a_shard_opened_after_the_split_boots_warm(world, tmp_path):
@@ -106,7 +114,7 @@ def test_a_shard_opened_after_the_split_boots_warm(world, tmp_path):
             engine.close()
 
         counters = _counted(boot)
-        assert counters["artifacts.hit"] == 2, info.index
+        assert counters["artifacts.hit"] == 3, info.index
         assert counters.get("artifacts.miss", 0) == 0, info.index
         assert counters.get("io.der_parse_total", 0) == 0, info.index
 
@@ -125,7 +133,69 @@ def test_a_cold_shard_stores_its_verdicts_for_the_next_boot(world, tmp_path):
             info.path, environment, cache_dir=str(cache)
         ).warm().close()
 
-    assert _counted(boot)["artifacts.miss"] == 2
+    assert _counted(boot)["artifacts.miss"] == 3
     counters = _counted(boot)
-    assert counters["artifacts.hit"] == 2
+    assert counters["artifacts.hit"] == 3
     assert counters.get("artifacts.miss", 0) == 0
+
+
+def test_a_warm_shard_boot_parses_no_ca(world, tmp_path, monkeypatch):
+    """The shard's off-shard CAs and its verdicts' stored extras are
+    keyed and checked by hashing their DER: opening the shard and
+    loading its bundle parse none of them."""
+    trust_store = load_environment(world[1]).trust_store
+    manifest, cache = _split(world, tmp_path, 2)
+    parses = []
+    original = Certificate.from_der.__func__
+
+    def counting(cls, der):
+        parses.append(der)
+        return original(cls, der)
+
+    for info in manifest.shard_infos:
+        dataset = load_dataset(info.path)
+        monkeypatch.setattr(Certificate, "from_der", classmethod(counting))
+        fleet, extras = read_shard_fleet(info.path)
+        loaded = ArtifactCache(cache).load(
+            dataset, trust_store=trust_store,
+            extra_fingerprints=extras.fingerprints,
+        )
+        monkeypatch.undo()
+        assert fleet is not None and len(extras.fingerprints) == len(extras)
+        assert loaded.kernels and loaded.validation is not None
+        assert parses == [], info.index
+        # Hashing the DER names the same certificates parsing it does.
+        assert list(extras.fingerprints) == [ca.fingerprint for ca in extras]
+
+
+def test_loaded_state_answers_like_a_computed_one(world, tmp_path):
+    """Every endpoint answers the same bytes whether the tracking state
+    was loaded from a bundle or computed: the whole corpus, and each
+    shard of a split over the split-written bundles."""
+    corpus, environment, parent_cache = world
+
+    def paths_of(engine):
+        seeds = json.loads(engine.respond("/fleet/seeds"))
+        sample = json.loads(engine.respond("/sample"))
+        return (
+            ["/census", "/sample", "/fleet/census", "/fleet/seeds"]
+            + [f"/key/{key}/group" for key in seeds["keys"]]
+            + [f"/track/{_format_ip(ip)}" for ip in seeds["ips"]]
+            + [f"/fleet/as/{asn}" for asn in seeds["as_devices"]]
+            + [f"/as/{asn}/reassignment" for asn in sample["asns"]]
+        )
+
+    def assert_same_answers(path, cache_dir):
+        loaded = QueryEngine.open(path, environment, cache_dir=cache_dir)
+        counters = _counted(loaded.warm)
+        assert counters["artifacts.hit"] == 3
+        computed = QueryEngine.open(path, environment).warm()
+        for query in paths_of(computed):
+            assert loaded.respond(query) == computed.respond(query), query
+        loaded.close()
+        computed.close()
+
+    assert_same_answers(corpus, str(parent_cache))
+    manifest, cache = _split(world, tmp_path, 2)
+    for info in manifest.shard_infos:
+        assert_same_answers(info.path, str(cache))

@@ -246,6 +246,77 @@ class TestCorruptContainers:
         assert capsys.readouterr().err.startswith(f"repro: {path}: ")
 
 
+def _rewrite_zip(source, path, replace):
+    """Copy the ``source`` zip to ``path`` with members replaced (None:
+    dropped)."""
+    import zipfile
+
+    with zipfile.ZipFile(source) as archive, \
+            zipfile.ZipFile(path, "w") as out:
+        for name in archive.namelist():
+            data = replace.get(name, archive.read(name))
+            if data is not None:
+                out.writestr(name, data)
+
+
+class TestCorruptSidecars:
+    """A corrupt environment or fleet manifest fails in one line too."""
+
+    def _assert_one_line_error(self, capsys, argv, path, reason):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"repro: {path}: ")
+        assert reason in lines[0]
+
+    @pytest.mark.parametrize("damage,reason", [
+        ("truncated", "not an environment archive"),
+        ("no-routing", "has no routing.json"),
+        ("bad-json", "malformed environment"),
+        ("roots-overrun", "overruns"),
+    ])
+    def test_environment(self, saved_corpus, tmp_path, capsys, damage,
+                         reason):
+        corpus, environment = saved_corpus
+        path = tmp_path / "env.rpe"
+        if damage == "truncated":
+            path.write_bytes(environment.read_bytes()[:3000])
+        else:
+            replace = {
+                "no-routing": {"routing.json": None},
+                "bad-json": {"routing.json": b'{"snapshots": ['},
+                "roots-overrun": {"roots.der": b"\x00\x00\x10\x00abc"},
+            }[damage]
+            _rewrite_zip(environment, path, replace)
+        self._assert_one_line_error(
+            capsys,
+            ["serve", str(corpus), "--environment", str(path),
+             "--max-seconds", "1"],
+            path, reason,
+        )
+
+    @pytest.mark.parametrize("text,reason", [
+        ('{"kind": "fleet", "shar', "not valid JSON"),
+        ('{"kind": "corpus"}', "not a fleet manifest"),
+        ('{"kind": "fleet", "shards": 2}', "malformed fleet manifest"),
+    ])
+    def test_fleet_manifest(self, saved_corpus, tmp_path, capsys, text,
+                            reason):
+        corpus, environment = saved_corpus
+        fleet_dir = tmp_path / "fleet"
+        fleet_dir.mkdir()
+        path = fleet_dir / "fleet.json"
+        path.write_text(text)
+        self._assert_one_line_error(
+            capsys,
+            ["fleet", str(corpus), "--environment", str(environment),
+             "--fleet-dir", str(fleet_dir), "--shards", "2",
+             "--max-seconds", "1"],
+            path, reason,
+        )
+
+
 class TestMissingPaths:
     """A missing corpus or environment is one line, not a traceback."""
 
