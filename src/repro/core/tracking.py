@@ -13,7 +13,7 @@ candidate *device*.  A device observed for more than a year is "trackable"
 
 :class:`TrackingState` bundles what the query plane reads of all this —
 the link plan, the devices, the §6.3 public-key groups and each device's
-§7.4 outcome — so an artifact bundle can persist it whole.
+§7.4 outcome — so the artifact cache can persist it whole.
 """
 
 from __future__ import annotations
@@ -464,8 +464,8 @@ class TrackingState:
     The §6.4.3 link plan the pipeline used, the tracked devices in
     device-key order, the §6.3 public-key groups and each device's §7.4
     outcome.  The address → device-position index and the per-AS counts
-    follow from them in one pass, so a state loaded from an artifact
-    bundle answers exactly like one computed here.
+    follow from them in one pass, so a state loaded from the artifact
+    cache answers exactly like one computed here.
     """
 
     link_plan: tuple[Feature, ...]

@@ -1,7 +1,7 @@
 """Format 3: the shared segment-container encoding.
 
 One fixed little-endian layout backs both ``.rpz`` corpora and ``.rpa``
-artifact bundles (and consolidates the byte-packing helpers that
+artifact section files (and consolidates the byte-packing helpers that
 ``store.py``, ``artifacts.py``, and ``scanner/shards.py`` each used to
 carry privately):
 

@@ -1,4 +1,4 @@
-"""The tracking section of an artifact bundle (``track.*``).
+"""The tracking section of the artifact cache (``track.*``).
 
 A study over a cache stores its tracking state — link plan, devices, key
 groups, §7.4 outcomes — and a later study over the same corpus, verdicts
@@ -76,13 +76,13 @@ def _routing(saved):
     return load_environment(saved[1]).routing
 
 
-def _bundle(cache):
-    (path,) = pathlib.Path(cache).glob("*.rpa")
+def _section_file(cache):
+    (path,) = pathlib.Path(cache).glob("*.tracking.rpa")
     return path
 
 
 def _rewrite_segment(path, name, transform):
-    """Rewrite a bundle with segment ``name``'s bytes transformed."""
+    """Rewrite a section file with segment ``name``'s bytes transformed."""
     reader = SegmentReader(path)
     tmp = path.with_name(path.name + ".tmp")
     writer = SegmentWriter(tmp, meta=dict(reader.meta))
@@ -115,16 +115,17 @@ class TestLoad:
         stored, counters = _counted(cold.tracking)
         assert counters == {"artifacts.miss": 3}
         assert stored == computed
-        assert _bundle(tmp_path).exists()
+        assert _section_file(tmp_path).exists()
 
         warm = _study(saved, routing.origin_as, tmp_path)
         loaded, counters = _counted(warm.tracking)
-        assert counters == {"artifacts.hit": 1}
+        # Kernels and verdicts load in the same call as the state.
+        assert counters == {"artifacts.hit": 3}
         assert loaded == computed
         assert loaded.track_index == computed.track_index
         assert loaded.as_stats == computed.as_stats
         assert warm.tracked_devices() is loaded.devices
-        # Nothing of §4.2–§7 ran: the state came whole from the bundle.
+        # Nothing of §4.2–§7 ran: the state came whole from the cache.
         for stage in ("validation", "kernels", "dedup",
                       "feature_evaluations", "pipeline", "tracking"):
             assert stage not in warm.stage_timings
@@ -155,7 +156,7 @@ class TestLoad:
             " trust_store=env.trust_store, as_of=env.routing.origin_as,"
             " cache=ArtifactCache(sys.argv[3])).tracking()"
         )
-        bundles = []
+        files = []
         for hash_seed in ("0", "1"):
             cache = tmp_path / f"seed-{hash_seed}"
             result = subprocess.run(
@@ -171,16 +172,18 @@ class TestLoad:
                 },
             )
             assert result.returncode == 0, result.stderr
-            bundles.append(SegmentReader(_bundle(cache)))
-        names = [name for name in bundles[0].names()
+            files.append(_section_file(cache))
+        readers = [SegmentReader(path) for path in files]
+        names = [name for name in readers[0].names()
                  if name.startswith("track.")]
         assert names and names == [
-            name for name in bundles[1].names() if name.startswith("track.")
+            name for name in readers[1].names() if name.startswith("track.")
         ]
         for name in names:
-            assert bytes(bundles[0].raw(name)) == bytes(bundles[1].raw(name))
-        for reader in bundles:
+            assert bytes(readers[0].raw(name)) == bytes(readers[1].raw(name))
+        for reader in readers:
             reader.close()
+        assert files[0].read_bytes() == files[1].read_bytes()
 
 
 class TestRecompute:
@@ -193,16 +196,17 @@ class TestRecompute:
     ):
         routing = _routing(saved)
         _study(saved, routing.origin_as, tmp_path).tracking()
-        _rewrite_segment(_bundle(tmp_path), segment, damage)
+        _rewrite_segment(_section_file(tmp_path), segment, damage)
 
         study = _study(saved, routing.origin_as, tmp_path)
         state, counters = _counted(study.tracking)
         assert counters["artifacts.invalidated"] == 1
         assert state == computed
-        # The rebuilt section is stored intact: the next study hits.
+        # The rebuilt section is stored intact: the next study hits it,
+        # with the kernels and verdicts, in one load.
         again = _study(saved, routing.origin_as, tmp_path)
         state, counters = _counted(again.tracking)
-        assert counters == {"artifacts.hit": 1}
+        assert counters == {"artifacts.hit": 3}
         assert state == computed
 
     def test_a_changed_route_misses(self, saved, tmp_path):
@@ -235,6 +239,7 @@ class TestRecompute:
         state, counters = _counted(study.tracking)
         assert counters == {"artifacts.miss": 2}
         assert state == computed
-        reader = SegmentReader(_bundle(tmp_path))
-        assert reader.meta["sections"] == ["kernels", "validation"]
-        reader.close()
+        digest = study.dataset.corpus_digest()
+        assert sorted(path.name for path in tmp_path.glob("*.rpa")) == [
+            f"{digest}.kernels.rpa", f"{digest}.validation.rpa",
+        ]

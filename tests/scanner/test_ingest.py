@@ -303,15 +303,15 @@ class TestCacheLineage:
         assert loaded.kernels
         assert metrics.counters["artifacts.extended"] == 1
         digest = fresh.corpus_digest()
-        assert cache.path_for(digest).exists()
+        assert cache.path_for(digest, "kernels").exists()
 
         # The persisted artifact is byte-identical to a cold store.
         cold_cache = ArtifactCache(tmp_path / "cold")
         cold = load_dataset(tmp_path / "grown.rpz")
         cold.index, cold.intervals, cold.feature_matrix
         cold_cache.store(cold)
-        assert cache.path_for(digest).read_bytes() == \
-            cold_cache.path_for(digest).read_bytes()
+        assert cache.path_for(digest, "kernels").read_bytes() == \
+            cold_cache.path_for(digest, "kernels").read_bytes()
 
         # And a second load is a plain hit, not another merge.
         again = cache.load(load_dataset(tmp_path / "grown.rpz"))
@@ -355,7 +355,7 @@ class TestCacheLineage:
             corpus["tail"], corpus["certificates"], tmp_path / "grown.rpz",
             cache=cache,
         )
-        artifact = cache.path_for(base.corpus_digest())
+        artifact = cache.path_for(base.corpus_digest(), "kernels")
         artifact.write_bytes(artifact.read_bytes()[: 1 << 12])
         loaded = cache.load(load_dataset(tmp_path / "grown.rpz"))
         assert not loaded.kernels
@@ -403,7 +403,7 @@ class TestCompaction:
         assert cache.chain_length(digest) == 2
 
         path = cache.compact(fresh)
-        assert path == cache.path_for(digest)
+        assert path == cache.path_for(digest, "kernels")
         assert path.exists()
         assert "kernels" in cache.status(digest)["sections"]
         assert cache.chain_length(digest) == 0

@@ -408,7 +408,7 @@ class TestFleetCommand:
             "fleet", str(serve_paths["corpus"]),
             "--environment", str(serve_paths["environment"]),
             "--fleet-dir", str(fleet.directory), "--shards", str(SHARDS),
-            "--no-cache", "--max-seconds", "0.1",
+            "--max-seconds", "0.1",
         ])
         assert code == 0
         assert len(routers) == 1

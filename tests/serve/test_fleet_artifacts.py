@@ -1,8 +1,8 @@
-"""Warm fleet set-up: ``repro split`` writes each shard's artifact bundle.
+"""Warm fleet set-up: ``repro split`` writes each shard's artifact files.
 
 Split over a warm parent cache parses no certificate and runs no Table 6,
-and every shard bundle it writes is byte-identical to the one the shard
-stores when it boots cold over an empty cache — so a shard opened after
+and every shard section file it writes is byte-identical to the one the
+shard stores when it boots cold over an empty cache — so a shard opened after
 the split loads its kernels, verdicts and tracking state and parses
 nothing either.  Two worlds carry the comparison: the tiny synthetic
 world and a small one that collects TLS handshakes.
@@ -26,6 +26,7 @@ from repro.io import (
     save_environment,
     split_corpus,
 )
+from repro.io.artifacts import SECTIONS
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -89,9 +90,11 @@ def test_split_writes_the_bundle_a_cold_shard_stores(world, shards, tmp_path):
         QueryEngine.open(
             info.path, environment, cache_dir=str(cold)
         ).warm().close()
-        written = ArtifactCache(cache).path_for(info.digest)
-        stored = ArtifactCache(cold).path_for(info.digest)
-        assert filecmp.cmp(written, stored, shallow=False), info.index
+        for section in SECTIONS:
+            written = ArtifactCache(cache).path_for(info.digest, section)
+            stored = ArtifactCache(cold).path_for(info.digest, section)
+            assert filecmp.cmp(written, stored, shallow=False), \
+                (info.index, section)
 
 
 def test_split_over_a_warm_parent_parses_no_certificate(world, tmp_path):
@@ -126,7 +129,7 @@ def test_a_cold_shard_stores_its_verdicts_for_the_next_boot(world, tmp_path):
     assert sorted(path.suffix for path in manifest.directory.iterdir()) == \
         [".json", ".rpo", ".rpz", ".rpz"]
     info = manifest.shard_infos[0]
-    assert not ArtifactCache(cache).path_for(info.digest).exists()
+    assert not list(cache.glob(f"{info.digest}.*"))
 
     def boot():
         QueryEngine.open(

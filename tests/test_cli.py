@@ -52,27 +52,13 @@ class TestParser:
 
     def test_cache_flags(self):
         args = build_parser().parse_args(
-            ["link", "--preset", "tiny", "--cache-dir", "cache", "--no-cache"]
+            ["link", "--preset", "tiny", "--cache-dir", "cache"]
         )
         assert args.cache_dir == "cache"
-        assert args.no_cache
         args = build_parser().parse_args(
             ["profile", "--cache-dir", "artifacts"]
         )
         assert args.cache_dir == "artifacts"
-        assert not args.no_cache
-
-    def test_no_cache_disables_cache_dir(self):
-        from repro.cli import _make_cache
-
-        with_cache = build_parser().parse_args(
-            ["census", "--preset", "tiny", "--cache-dir", "cache"]
-        )
-        assert _make_cache(with_cache) is not None
-        disabled = build_parser().parse_args(
-            ["census", "--preset", "tiny", "--cache-dir", "cache", "--no-cache"]
-        )
-        assert _make_cache(disabled) is None
 
 
 class TestCommands:
@@ -345,7 +331,7 @@ class TestMissingPaths:
         self._assert_no_such_file(
             capsys,
             ["serve", str(path), "--environment", str(environment),
-             "--max-seconds", "0.5", "--no-cache"],
+             "--max-seconds", "0.5"],
             path,
         )
 
@@ -357,7 +343,7 @@ class TestMissingPaths:
             ["census", "--corpus", str(corpus), "--environment", str(path)]
             if command == "census" else
             ["serve", str(corpus), "--environment", str(path),
-             "--max-seconds", "0.5", "--no-cache"]
+             "--max-seconds", "0.5"]
         )
         self._assert_no_such_file(capsys, argv, path)
 
@@ -673,7 +659,6 @@ class TestServeCommands:
         )
         assert args.listen == "127.0.0.1:0"
         assert args.workers == 1
-        assert not args.no_warm
         assert args.max_seconds is None
 
     def test_parser_serve_requires_environment(self):
@@ -699,7 +684,7 @@ class TestServeCommands:
         corpus, environment = saved_corpus
         code = main(
             ["serve", str(corpus), "--environment", str(environment),
-             "--max-seconds", "0.5", "--no-cache"]
+             "--max-seconds", "0.5"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -716,7 +701,6 @@ class TestFleetCommands:
             ["split", "c.rpz", "--environment", "e.rpe", "--out", "fleet"]
         )
         assert args.shards == 4
-        assert not args.no_cache
 
     def test_parser_fleet_defaults(self):
         args = build_parser().parse_args(
@@ -735,7 +719,7 @@ class TestFleetCommands:
         out = tmp_path / "fleet"
         code = main(
             ["split", str(corpus), "--environment", str(environment),
-             "--out", str(out), "--shards", "2", "--no-cache"]
+             "--out", str(out), "--shards", "2"]
         )
         assert code == 0
         printed = capsys.readouterr().out
@@ -750,6 +734,5 @@ class TestFleetCommands:
         with pytest.raises(Exception):
             main(
                 ["split", str(corpus), "--environment", str(environment),
-                 "--out", str(tmp_path / "f"), "--shards", "0",
-                 "--no-cache"]
+                 "--out", str(tmp_path / "f"), "--shards", "0"]
             )
