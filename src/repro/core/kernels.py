@@ -40,6 +40,8 @@ holds every kernel to that path's reference implementations in
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence
@@ -70,7 +72,10 @@ class FeatureMatrix:
 
     * ``rows``              — fingerprint → row index;
     * ``fingerprints``      — row index → fingerprint;
-    * ``values[feature]``   — value id → raw feature value;
+    * ``values[feature]``   — value id → raw feature value; canonical
+      across all tables (equal values of one type are one object, see
+      :func:`_canonicalize`), so the tables pickle the same bytes
+      whichever path built them;
     * ``raw_ids[feature]``  — row → value id of :func:`~.features.extract`
       (``-1`` when the certificate lacks the feature);
     * ``linkable_ids[feature]`` — row → value id as the linking pipeline
@@ -134,6 +139,7 @@ class FeatureMatrix:
             extracted = (_extract_all(cert) for cert in certificates.values())
         _intern_extracted(matrix, extracted, features, raw, cn_linkable,
                           value_ids)
+        _canonicalize(matrix.values)
         matrix.raw_ids = raw
         matrix.linkable_ids = dict(raw)
         matrix.linkable_ids[Feature.COMMON_NAME] = cn_linkable
@@ -167,7 +173,9 @@ class FeatureMatrix:
         exactly from the base matrix (``values[feature][raw_ids[feature]
         [row]]`` inverts the interning, and the flags are copied).
         Bitwise-identical to :meth:`from_certificates` over the new
-        table.
+        table, value-table pickle included: a subset reuses the base's
+        canonical value objects, and a table with new values is
+        canonicalized whole.
         """
         fingerprints = list(certificates)
         base_rows = base.rows
@@ -230,6 +238,10 @@ class FeatureMatrix:
             matrix, (recovered(fp) for fp in fingerprints[prefix:]),
             features, raw, cn_linkable, value_ids, start_row=prefix,
         )
+        if new_fps:
+            # Values the base already held are its canonical objects, so
+            # only freshly extracted ones can break the sharing.
+            _canonicalize(matrix.values)
         matrix.raw_ids = raw
         matrix.linkable_ids = dict(raw)
         matrix.linkable_ids[Feature.COMMON_NAME] = cn_linkable
@@ -294,6 +306,94 @@ def _intern_extracted(
             or dropped_for_linking(Feature.COMMON_NAME, name)
             else cn_raw[row]
         )
+
+
+#: Types pickle writes by value, never as a reference to an earlier copy.
+_UNSHARED = frozenset((int, bool, float, type(None)))
+
+
+def _canonicalize(values: Dict[Feature, List[Hashable]]) -> None:
+    """Make equal values of the same type one object across all tables.
+
+    Pickle records object sharing, so the bytes of a pickled value table
+    depend on which equal values are one object: a name the decode memo
+    hands to many certificates pickles once, the same names unpickled
+    from a base artifact once per copy.  Every table value, and every
+    string, tuple and dataclass nested in one, is replaced by the first
+    equal value of its type (tables in ``Feature`` order, ids in order),
+    so ``values`` pickles as a pure function of its values, whatever
+    decode history, worker merge or artifact load produced them.
+    """
+    unshared = _UNSHARED
+    # Strings and bytes by value.  A tuple or dataclass is looked up
+    # among those of its type and part types, by its parts' values when
+    # pickle writes them all by value, else by the parts' identities:
+    # canonical parts are unique per (type, value), so identity names
+    # one exactly.
+    leaves: dict = {}
+    composites: Dict[tuple, dict] = {}
+    # The canonical objects met so far, by id, and the twin of every
+    # other original; the originals stay referenced by the old tables
+    # until the end, so no id is reused meanwhile.
+    kept: set = set()
+    replaced: Dict[int, object] = {}
+
+    def canon(value):
+        if id(value) in kept:
+            return value
+        twin = replaced.get(id(value))
+        if twin is not None:
+            return twin
+        kind = type(value)
+        if kind is str or kind is bytes:
+            twin = leaves.setdefault(value, value)
+        else:
+            if kind is tuple:
+                fields = value
+            elif dataclasses.is_dataclass(kind):
+                fields = tuple(vars(value).values())
+            else:
+                return value
+            parts = tuple([
+                part if type(part) in unshared else canon(part)
+                for part in fields
+            ])
+            signature = (kind, *map(type, parts))
+            bucket = composites.get(signature)
+            if bucket is None:
+                bucket = composites[signature] = {}
+            if all([type(part) in unshared for part in parts]):
+                key = parts
+            else:
+                key = tuple([
+                    part if type(part) in unshared else id(part)
+                    for part in parts
+                ])
+            twin = bucket.get(key)
+            if twin is None:
+                if all(map(operator.is_, parts, fields)):
+                    twin = value
+                elif kind is tuple:
+                    twin = parts
+                else:
+                    twin = dataclasses.replace(
+                        value, **dict(zip(vars(value), parts))
+                    )
+                bucket[key] = twin
+        if twin is value:
+            kept.add(id(value))
+        else:
+            replaced[id(value)] = twin
+        return twin
+
+    tables = {
+        feature: [
+            value if type(value) in unshared else canon(value)
+            for value in table
+        ]
+        for feature, table in values.items()
+    }
+    values.update(tables)
 
 
 def _init_matrix_worker(obs_enabled: bool) -> None:

@@ -33,8 +33,10 @@ and the ``key`` it was stored under:
   already columnar, or mapped, never touches these bytes — they
   dominate the file); ``index.*`` / ``intervals.*``, the CSR index and
   interval arrays; ``matrix.*``, the feature matrix (interned value
-  tables as one pickle segment, id columns and the ``int8`` self-signed
-  and CA columns as arrays), which is all the §5 census reads;
+  tables as one pickle segment — canonical, so equal values are one
+  object and the pickle is a function of the values alone — id columns
+  and the ``int8`` self-signed and CA columns as arrays), which is all
+  the §5 census reads;
 * ``validation`` (key: :func:`verdict_key`, a digest of the trust store
   and of the extra intermediates the verdicts were computed with) —
   ``val.*``, per-certificate verdicts, columnar: interned status/detail
@@ -152,8 +154,10 @@ __all__ = [
 #: ``matrix.self_signed`` column; schema 3 lacked ``matrix.is_ca`` and
 #: keyed verdicts on the trust store alone; schema 4 lacked the
 #: ``tracking`` section; schema 5 kept every section in one
-#: ``<digest>.rpa`` bundle that each store rewrote whole.
-ARTIFACT_SCHEMA = 6
+#: ``<digest>.rpa`` bundle that each store rewrote whole; schema 6
+#: pickled ``matrix.values`` with whatever object sharing the build
+#: left, so its bytes depended on decode history.
+ARTIFACT_SCHEMA = 7
 
 #: A corpus's artifact sections, in load order; each is stored in its
 #: own ``<digest>.<section>.rpa`` file.

@@ -44,6 +44,7 @@ from ..obs import runtime as obs
 from ..scanner.columns import ObservationColumns
 from ..scanner.records import Scan
 from ..tls.handshake import HandshakeRecord
+from ..x509.asn1 import DERError
 from ..x509.certificate import Certificate
 from .encoding import (
     FP_HASH_SEGMENT,
@@ -239,7 +240,9 @@ class LazyCertificates(Mapping):
     serve workload hammering a hot set parses each certificate once
     (``io.der_parse_total`` counts actual parses) while a full-corpus
     sweep cannot grow memory without bound.  Nothing is parsed at
-    construction, which is what keeps a mapped corpus open O(1).
+    construction, which is what keeps a mapped corpus open O(1).  A
+    record that does not decode raises one :class:`SegmentError` naming
+    the file and the certificate, at that first access.
     """
 
     #: Default bound on the decoded-certificate memo (entries).  At
@@ -307,7 +310,13 @@ class LazyCertificates(Mapping):
         der = bytes(blob[start:end])
         obs.inc("io.bytes_materialized", len(der))
         obs.inc("io.der_parse_total")
-        certificate = Certificate.from_der(der)
+        try:
+            certificate = Certificate.from_der(der)
+        except DERError as error:
+            raise SegmentError(
+                f"{self._reader.path}: certificate "
+                f"{fingerprint.hex()[:16]}: {error}"
+            ) from None
         self._cache[fingerprint] = certificate
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)

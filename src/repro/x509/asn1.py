@@ -6,20 +6,24 @@ UTF8String / PrintableString / IA5String, UTCTime / GeneralizedTime,
 SEQUENCE, SET, and context-specific constructed tags.
 
 The encoder works from plain Python values via the ``encode_*`` functions;
-the decoder is a pull-parser (:class:`DERReader`) that the certificate layer
-drives.  Round-tripping is exact: ``decode(encode(x)) == x`` for every
-supported shape, and the test suite checks this property with hypothesis.
+the decoder is an offset-based pull-parser (:class:`DERReader`) that the
+certificate layer drives, and every rejection it makes is a
+:class:`DERError`.  Round-tripping is exact: ``decode(encode(x)) == x``
+for every supported shape, and the test suite checks this property with
+hypothesis.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .oid import OID
 
 __all__ = [
+    "DECODE_MEMO",
     "DERError",
     "Tag",
     "TLV",
@@ -76,20 +80,6 @@ class TLV:
 
     tag: int
     value: bytes
-
-    @property
-    def constructed(self) -> bool:
-        return bool(self.tag & 0x20)
-
-    @property
-    def is_context(self) -> bool:
-        return (self.tag & 0xC0) == 0x80
-
-    @property
-    def context_number(self) -> int:
-        if not self.is_context:
-            raise DERError(f"tag 0x{self.tag:02x} is not context-specific")
-        return self.tag & 0x1F
 
 
 # ---------------------------------------------------------------------------
@@ -236,37 +226,99 @@ def encode_implicit(number: int, inner: bytes, constructed: bool = False) -> byt
 # Decoding
 # ---------------------------------------------------------------------------
 
+#: Entries each decode memo keeps (OID bodies here; names, extension
+#: blocks and key bits in the modules that decode them).  The blocks a
+#: corpus repeats — issuer names, vendor boilerplate, shared keys —
+#: decode once per process while they stay among this many.
+DECODE_MEMO = 65536
+
+
 class DERReader:
-    """Sequential pull-parser over a DER byte string."""
+    """Sequential pull-parser over a window of a DER byte string.
+
+    A reader walks ``data`` by offset between its own bounds: entering a
+    SEQUENCE, SET or context tag returns a sub-reader over the *same*
+    buffer bounded by that TLV's value, so walking a certificate copies
+    only the leaf values it returns.  Every read goes through one
+    header routine, :meth:`_next`.  Every rejection is a
+    :class:`DERError`.
+    """
+
+    __slots__ = ("_data", "_pos", "_end")
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
+        self._end = len(data)
+
+    def _window(self, start: int, end: int) -> "DERReader":
+        """A reader over ``data[start:end]`` of this reader's buffer."""
+        reader = object.__new__(DERReader)
+        reader._data = self._data
+        reader._pos = start
+        reader._end = end
+        return reader
+
+    @property
+    def offset(self) -> int:
+        """Position of the next unread byte in the underlying buffer."""
+        return self._pos
 
     def at_end(self) -> bool:
         """True when all bytes have been consumed."""
-        return self._pos >= len(self._data)
+        return self._pos >= self._end
 
     def remaining(self) -> int:
         """Bytes not yet consumed."""
-        return len(self._data) - self._pos
+        return self._end - self._pos
 
     def rest(self) -> bytes:
         """Return (without consuming) all bytes not yet read."""
-        return self._data[self._pos:]
+        return self._data[self._pos:self._end]
 
     def peek_tag(self) -> int:
         """Tag byte of the next TLV without consuming it."""
-        if self.at_end():
+        if self._pos >= self._end:
             raise DERError("unexpected end of DER data")
         return self._data[self._pos]
 
+    def _next(self) -> tuple[int, int, int]:
+        """Consume the next TLV; return (tag, value start, value end)."""
+        data = self._data
+        pos = self._pos
+        end = self._end
+        if pos >= end:
+            raise DERError("unexpected end of DER data")
+        tag = data[pos]
+        if pos + 1 >= end:
+            raise DERError("truncated length")
+        length = data[pos + 1]
+        pos += 2
+        if length & 0x80:
+            count = length & 0x7F
+            if count == 0:
+                raise DERError("indefinite lengths are not DER")
+            if pos + count > end:
+                raise DERError("truncated long-form length")
+            length = int.from_bytes(data[pos:pos + count], "big")
+            pos += count
+        stop = pos + length
+        if stop > end:
+            raise DERError("TLV length overruns buffer")
+        self._pos = stop
+        return tag, pos, stop
+
+    def _expect(self, tag: int) -> tuple[int, int]:
+        """Consume the next TLV, requiring ``tag``; its value's bounds."""
+        found, start, stop = self._next()
+        if found != tag:
+            raise DERError(f"expected tag 0x{tag:02x}, got 0x{found:02x}")
+        return start, stop
+
     def read_tlv(self) -> TLV:
         """Consume and return the next TLV."""
-        tag, end = self._read_header()
-        value = self._data[self._pos:end]
-        self._pos = end
-        return TLV(tag, value)
+        tag, start, stop = self._next()
+        return TLV(tag, self._data[start:stop])
 
     def read_raw(self) -> bytes:
         """Consume the next TLV and return its exact encoding.
@@ -276,109 +328,87 @@ class DERReader:
         instead of re-encoding the parsed structure.
         """
         start = self._pos
-        _, self._pos = self._read_header()
-        return self._data[start:self._pos]
-
-    def _read_header(self) -> tuple[int, int]:
-        """Consume the next tag and length; return (tag, end of value)."""
-        tag = self.peek_tag()
-        self._pos += 1
-        length = self._read_length()
-        end = self._pos + length
-        if end > len(self._data):
-            raise DERError("TLV length overruns buffer")
-        return tag, end
-
-    def _read_length(self) -> int:
-        if self.at_end():
-            raise DERError("truncated length")
-        first = self._data[self._pos]
-        self._pos += 1
-        if first < 0x80:
-            return first
-        count = first & 0x7F
-        if count == 0:
-            raise DERError("indefinite lengths are not DER")
-        if self._pos + count > len(self._data):
-            raise DERError("truncated long-form length")
-        value = int.from_bytes(self._data[self._pos:self._pos + count], "big")
-        self._pos += count
-        return value
+        _, _, stop = self._next()
+        return self._data[start:stop]
 
     def expect(self, tag: int) -> TLV:
         """Consume the next TLV and require a specific tag."""
-        tlv = self.read_tlv()
-        if tlv.tag != tag:
-            raise DERError(f"expected tag 0x{tag:02x}, got 0x{tlv.tag:02x}")
-        return tlv
+        start, stop = self._expect(tag)
+        return TLV(tag, self._data[start:stop])
 
     # --- typed readers ------------------------------------------------------
 
     def read_boolean(self) -> bool:
-        tlv = self.expect(Tag.BOOLEAN)
-        if len(tlv.value) != 1:
+        start, stop = self._expect(Tag.BOOLEAN)
+        if stop - start != 1:
             raise DERError("BOOLEAN must be one byte")
-        return tlv.value != b"\x00"
+        return self._data[start] != 0
 
     def read_integer(self) -> int:
-        tlv = self.expect(Tag.INTEGER)
-        if not tlv.value:
+        start, stop = self._expect(Tag.INTEGER)
+        if start == stop:
             raise DERError("empty INTEGER")
-        return int.from_bytes(tlv.value, "big", signed=True)
+        return int.from_bytes(self._data[start:stop], "big", signed=True)
 
     def read_bit_string(self) -> tuple[bytes, int]:
-        tlv = self.expect(Tag.BIT_STRING)
-        if not tlv.value:
+        start, stop = self._expect(Tag.BIT_STRING)
+        if start == stop:
             raise DERError("empty BIT STRING")
-        unused = tlv.value[0]
+        unused = self._data[start]
         if unused > 7:
             raise DERError(f"invalid unused-bit count {unused}")
-        return tlv.value[1:], unused
+        return self._data[start + 1:stop], unused
 
     def read_octet_string(self) -> bytes:
-        return self.expect(Tag.OCTET_STRING).value
+        start, stop = self._expect(Tag.OCTET_STRING)
+        return self._data[start:stop]
 
     def read_null(self) -> None:
-        tlv = self.expect(Tag.NULL)
-        if tlv.value:
+        start, stop = self._expect(Tag.NULL)
+        if stop != start:
             raise DERError("NULL with content")
 
     def read_oid(self) -> OID:
-        tlv = self.expect(Tag.OID)
-        return decode_oid_body(tlv.value)
+        start, stop = self._expect(Tag.OID)
+        return decode_oid_body(self._data[start:stop])
 
     def read_string(self) -> str:
         """Read any of the supported string types."""
-        tlv = self.read_tlv()
-        if tlv.tag == Tag.UTF8_STRING:
-            return tlv.value.decode("utf-8")
-        if tlv.tag in (Tag.PRINTABLE_STRING, Tag.IA5_STRING):
-            return tlv.value.decode("ascii", errors="replace")
-        raise DERError(f"tag 0x{tlv.tag:02x} is not a string type")
+        tag, start, stop = self._next()
+        if tag == Tag.UTF8_STRING:
+            try:
+                return self._data[start:stop].decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise DERError(f"UTF8String: {error.reason}") from None
+        if tag == Tag.PRINTABLE_STRING or tag == Tag.IA5_STRING:
+            return self._data[start:stop].decode("ascii", errors="replace")
+        raise DERError(f"tag 0x{tag:02x} is not a string type")
 
     def read_time(self) -> datetime.datetime:
-        tlv = self.read_tlv()
-        text = tlv.value.decode("ascii", errors="replace")
-        if tlv.tag == Tag.UTC_TIME:
+        tag, start, stop = self._next()
+        text = self._data[start:stop].decode("ascii", errors="replace")
+        if tag == Tag.UTC_TIME:
             return _parse_utc_time(text)
-        if tlv.tag == Tag.GENERALIZED_TIME:
+        if tag == Tag.GENERALIZED_TIME:
             return _parse_generalized_time(text)
-        raise DERError(f"tag 0x{tlv.tag:02x} is not a time type")
+        raise DERError(f"tag 0x{tag:02x} is not a time type")
 
     def enter_sequence(self) -> "DERReader":
         """Consume a SEQUENCE and return a reader over its contents."""
-        return DERReader(self.expect(Tag.SEQUENCE).value)
+        start, stop = self._expect(Tag.SEQUENCE)
+        return self._window(start, stop)
 
     def enter_set(self) -> "DERReader":
         """Consume a SET and return a reader over its contents."""
-        return DERReader(self.expect(Tag.SET).value)
+        start, stop = self._expect(Tag.SET)
+        return self._window(start, stop)
 
     def enter_context(self, number: int) -> "DERReader":
         """Consume an EXPLICIT [number] tag and return its content reader."""
-        tlv = self.read_tlv()
-        if not tlv.is_context or tlv.context_number != number:
-            raise DERError(f"expected context tag [{number}], got 0x{tlv.tag:02x}")
-        return DERReader(tlv.value)
+        tag, start, stop = self._next()
+        if (tag & 0xC0) != 0x80 or (tag & 0x1F) != number:
+            raise DERError(f"expected context tag [{number}], got 0x{tag:02x}")
+        return self._window(start, stop)
 
     def iter_tlvs(self) -> Iterator[TLV]:
         """Yield every remaining TLV at this nesting level."""
@@ -386,8 +416,13 @@ class DERReader:
             yield self.read_tlv()
 
 
+@lru_cache(maxsize=DECODE_MEMO)
 def decode_oid_body(body: bytes) -> OID:
-    """Decode the content octets of an OBJECT IDENTIFIER."""
+    """Decode the content octets of an OBJECT IDENTIFIER.
+
+    Memoized on the exact bytes: X.509 repeats a handful of OIDs (name
+    attribute types, extension ids) in every certificate.
+    """
     if not body:
         raise DERError("empty OID")
     subidentifiers: list[int] = []
@@ -408,13 +443,16 @@ def decode_oid_body(body: bytes) -> OID:
     else:
         arcs = [first // 40, first % 40]
     arcs.extend(subidentifiers[1:])
-    return OID(tuple(arcs))
+    try:
+        return OID(tuple(arcs))
+    except ValueError as error:
+        raise DERError(f"invalid OID: {error}") from None
 
 
 def _parse_utc_time(text: str) -> datetime.datetime:
     if not text.endswith("Z") or len(text) != 13:
         raise DERError(f"malformed UTCTime {text!r}")
-    two_digit_year = int(text[:2])
+    two_digit_year = _time_field(text[:2], text)
     year = 2000 + two_digit_year if two_digit_year < 50 else 1900 + two_digit_year
     return _build_datetime(year, text[2:12], text)
 
@@ -422,7 +460,14 @@ def _parse_utc_time(text: str) -> datetime.datetime:
 def _parse_generalized_time(text: str) -> datetime.datetime:
     if not text.endswith("Z") or len(text) != 15:
         raise DERError(f"malformed GeneralizedTime {text!r}")
-    return _build_datetime(int(text[:4]), text[4:14], text)
+    return _build_datetime(_time_field(text[:4], text), text[4:14], text)
+
+
+def _time_field(digits: str, original: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise DERError(f"invalid time {original!r}") from None
 
 
 def _build_datetime(year: int, rest: str, original: str) -> datetime.datetime:

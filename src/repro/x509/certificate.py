@@ -9,7 +9,9 @@ the SHA-256 fingerprint over the DER bytes, just as scan datasets key
 certificates in practice.  A parsed certificate keeps the exact bytes it
 was parsed from, and a signed one the exact to-be-signed bytes it signed:
 signature checks and fingerprints read those bytes, never a re-encoding
-of the parsed fields.
+of the parsed fields.  Parsed certificates share the blocks a corpus
+repeats: equal issuer names, extension blocks and keys decode once into
+one immutable object.
 
 Validity bounds are simulated day indices (see :mod:`repro.simtime`).
 Both of the paper's pathologies are representable: Not After before
@@ -21,10 +23,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from ..simtime import day_to_datetime, datetime_to_day
 from .asn1 import (
+    DECODE_MEMO,
     DERReader,
     Tag,
     encode_bit_string,
@@ -49,6 +53,14 @@ def _algorithm_identifier(algorithm: OID) -> bytes:
 def _subject_public_key_info(key: PublicKey) -> bytes:
     rsa_key = encode_sequence(encode_integer(key.n), encode_integer(key.e))
     return encode_sequence(_algorithm_identifier(RSA_ENCRYPTION), encode_bit_string(rsa_key))
+
+
+@lru_cache(maxsize=DECODE_MEMO)
+def _decode_key(key_bits: bytes) -> PublicKey:
+    """The RSA key a SubjectPublicKeyInfo's BIT STRING holds, memoized on
+    its exact bytes (devices share keys, §5)."""
+    key_reader = DERReader(key_bits).enter_sequence()
+    return PublicKey(key_reader.read_integer(), key_reader.read_integer())
 
 
 def _time_with_seconds(day: int, seconds: int):
@@ -118,8 +130,9 @@ class Certificate:
     not_before_secs: int = 0
     not_after_secs: int = 0
 
-    # Encodings: the exact bytes from parsing or signing, else built on
-    # first use.  Excluded from equality/hash.
+    # Encodings (the exact bytes from parsing or signing, else built on
+    # first use), the fingerprint and the self-signature verdict.
+    # Excluded from equality/hash.
     _der_cache: dict = field(
         default_factory=dict, compare=False, repr=False, hash=False
     )
@@ -129,10 +142,14 @@ class Certificate:
     def tbs_der(self) -> bytes:
         """The to-be-signed bytes (signature input).
 
-        The exact TBS slice of the parsed DER, or the body
+        The exact TBS slice of the parsed DER (cut from it on each call,
+        so a parsed certificate holds its bytes once), or the body
         :meth:`sign` signed; encoded from the fields only for a
         certificate built neither way.
         """
+        span = self._der_cache.get("tbs_span")
+        if span is not None:
+            return self._der_cache["der"][span[0]:span[1]]
         cached = self._der_cache.get("tbs")
         if cached is None:
             cached = tbs_der(
@@ -228,9 +245,15 @@ class Certificate:
 
         The paper's footnote 7 does exactly this second check because
         openssl reports error 19 only when subject and issuer match — a
-        certificate can be self-signed with mismatched names.
+        certificate can be self-signed with mismatched names.  Checked
+        once per certificate object: chain validation and the feature
+        matrix's self-signed column both ask.
         """
-        return self.verify_signature(self.public_key)
+        cached = self._der_cache.get("self_signed")
+        if cached is None:
+            cached = self._der_cache["self_signed"] = \
+                self.verify_signature(self.public_key)
+        return cached
 
     def valid_on(self, day: int) -> bool:
         """Is ``day`` inside the validity window?"""
@@ -278,62 +301,67 @@ class Certificate:
     def from_der(cls, data: bytes) -> "Certificate":
         """Parse a DER-encoded certificate (inverse of :meth:`to_der`).
 
-        The certificate keeps the DER it was parsed from and its TBS
-        slice, so :meth:`to_der`, :attr:`fingerprint` and
-        :meth:`verify_signature` read the bytes that were signed.
+        The certificate keeps the DER it was parsed from and the bounds
+        of its TBS inside it, so :meth:`to_der`, :attr:`fingerprint` and
+        :meth:`verify_signature` read the bytes that were signed.  One
+        offset reader walks ``data``; names, the extensions block and the
+        key come from decode memos keyed on their exact bytes, so a block
+        many certificates repeat decodes once.  Any rejection is a
+        :class:`~repro.x509.asn1.DERError`.
         """
+        if type(data) is not bytes:
+            data = bytes(data)  # the decode memos key on hashable bytes
         reader = DERReader(data)
         outer = reader.enter_sequence()
-        der = data[:len(data) - reader.remaining()]
-        signed = outer.read_raw()
-        tbs = DERReader(signed).enter_sequence()
+        end = len(data) - reader.remaining()
+        der = data if end == len(data) else data[:end]
+        tbs_start = outer.offset
+        tbs = outer.enter_sequence()
+        tbs_span = (tbs_start, outer.offset)
 
         version = 1
         if not tbs.at_end() and tbs.peek_tag() == Tag.context(0):
             version_reader = tbs.enter_context(0)
             version = version_reader.read_integer() + 1
         serial = tbs.read_integer()
-        _sig_alg = tbs.enter_sequence()  # noqa: F841 — single-algorithm PKI
+        tbs.enter_sequence()  # signature AlgorithmIdentifier: single-algorithm PKI
         issuer = Name.from_der_reader(tbs)
         validity = tbs.enter_sequence()
         nb_time = validity.read_time()
         na_time = validity.read_time()
-        not_before = datetime_to_day(nb_time)
-        not_after = datetime_to_day(na_time)
-        not_before_secs = nb_time.hour * 3600 + nb_time.minute * 60 + nb_time.second
-        not_after_secs = na_time.hour * 3600 + na_time.minute * 60 + na_time.second
         subject = Name.from_der_reader(tbs)
 
         spki = tbs.enter_sequence()
         spki.enter_sequence()  # AlgorithmIdentifier (rsaEncryption)
         key_bits, _unused = spki.read_bit_string()
-        key_reader = DERReader(key_bits).enter_sequence()
-        public_key = PublicKey(key_reader.read_integer(), key_reader.read_integer())
+        public_key = _decode_key(key_bits)
 
         extensions = Extensions()
         if not tbs.at_end() and tbs.peek_tag() == Tag.context(3):
-            ext_reader = tbs.enter_context(3)
-            extensions = Extensions.from_der(ext_reader.rest())
+            extensions = Extensions.from_der(tbs.enter_context(3).rest())
 
         outer.enter_sequence()  # outer signatureAlgorithm
         signature_bytes, _unused = outer.read_bit_string()
-        signature = int.from_bytes(signature_bytes, "big")
 
         certificate = cls(
             version=version,
             serial=serial,
             issuer=issuer,
             subject=subject,
-            not_before=not_before,
-            not_after=not_after,
+            not_before=datetime_to_day(nb_time),
+            not_after=datetime_to_day(na_time),
             public_key=public_key,
             extensions=extensions,
-            signature=signature,
-            not_before_secs=not_before_secs,
-            not_after_secs=not_after_secs,
+            signature=int.from_bytes(signature_bytes, "big"),
+            not_before_secs=(
+                nb_time.hour * 3600 + nb_time.minute * 60 + nb_time.second
+            ),
+            not_after_secs=(
+                na_time.hour * 3600 + na_time.minute * 60 + na_time.second
+            ),
         )
         certificate._der_cache["der"] = der
-        certificate._der_cache["tbs"] = signed
+        certificate._der_cache["tbs_span"] = tbs_span
         return certificate
 
     def __hash__(self) -> int:

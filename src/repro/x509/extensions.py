@@ -15,10 +15,12 @@ certificate, keeping unknown extensions as raw bytes so they round-trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from . import oid as oids
 from .asn1 import (
+    DECODE_MEMO,
     DERReader,
     Tag,
     encode_boolean,
@@ -371,23 +373,35 @@ class Extensions:
 
     @classmethod
     def from_der(cls, data: bytes) -> "Extensions":
-        """Decode the SEQUENCE OF Extension body."""
-        reader = DERReader(data).enter_sequence()
-        items: list[TypedExtension] = []
-        while not reader.at_end():
-            ext = reader.enter_sequence()
-            ext_oid = ext.read_oid()
-            if ext.peek_tag() == Tag.BOOLEAN:  # optional critical flag
-                ext.read_boolean()
-            value = ext.read_octet_string()
-            decoder = _DECODERS.get(ext_oid)
-            if decoder is None:
-                items.append(RawExtension(ext_oid, value))
-            else:
-                items.append(decoder(value))
-        return cls(tuple(items))
+        """Decode the SEQUENCE OF Extension body.
+
+        Equal blocks decode once: certificates carrying the same
+        extensions bytes (vendor boilerplate) share one
+        :class:`Extensions`.
+        """
+        return _decode_extensions(data)
 
     @classmethod
     def of(cls, *items: TypedExtension) -> "Extensions":
         """Convenience constructor."""
         return cls(tuple(items))
+
+
+@lru_cache(maxsize=DECODE_MEMO)
+def _decode_extensions(data: bytes) -> Extensions:
+    """:meth:`Extensions.from_der`, memoized on the exact bytes; a
+    rejected block raises again on every call."""
+    reader = DERReader(data).enter_sequence()
+    items: list[TypedExtension] = []
+    while not reader.at_end():
+        ext = reader.enter_sequence()
+        ext_oid = ext.read_oid()
+        if ext.peek_tag() == Tag.BOOLEAN:  # optional critical flag
+            ext.read_boolean()
+        value = ext.read_octet_string()
+        decoder = _DECODERS.get(ext_oid)
+        if decoder is None:
+            items.append(RawExtension(ext_oid, value))
+        else:
+            items.append(decoder(value))
+    return Extensions(tuple(items))

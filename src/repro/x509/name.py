@@ -14,10 +14,17 @@ dictionaries in the linking pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from . import oid as oids
-from .asn1 import DERReader, encode_sequence, encode_set, encode_utf8_string
+from .asn1 import (
+    DECODE_MEMO,
+    DERReader,
+    encode_sequence,
+    encode_set,
+    encode_utf8_string,
+)
 from .oid import OID
 
 __all__ = ["Name"]
@@ -95,17 +102,12 @@ class Name:
 
     @classmethod
     def from_der_reader(cls, reader: DERReader) -> "Name":
-        """Decode an RDNSequence from a reader positioned at it."""
-        seq = reader.enter_sequence()
-        attributes: list[tuple[OID, str]] = []
-        while not seq.at_end():
-            rdn = seq.enter_set()
-            while not rdn.at_end():
-                attribute = rdn.enter_sequence()
-                attr_oid = attribute.read_oid()
-                value = attribute.read_string()
-                attributes.append((attr_oid, value))
-        return cls(tuple(attributes))
+        """Decode an RDNSequence from a reader positioned at it.
+
+        Equal encodings decode once: certificates whose issuer (or
+        subject) bytes match share one :class:`Name`.
+        """
+        return _decode_name(reader.read_raw())
 
     @classmethod
     def from_der(cls, data: bytes) -> "Name":
@@ -116,6 +118,22 @@ class Name:
     def from_pairs(cls, pairs: Iterable[tuple[OID, str]]) -> "Name":
         """Build from explicit (OID, value) pairs."""
         return cls(tuple(pairs))
+
+
+@lru_cache(maxsize=DECODE_MEMO)
+def _decode_name(raw: bytes) -> Name:
+    """The :class:`Name` an RDNSequence encoding holds, memoized on its
+    exact bytes; a rejected encoding raises again on every call."""
+    seq = DERReader(raw).enter_sequence()
+    attributes: list[tuple[OID, str]] = []
+    while not seq.at_end():
+        rdn = seq.enter_set()
+        while not rdn.at_end():
+            attribute = rdn.enter_sequence()
+            attr_oid = attribute.read_oid()
+            value = attribute.read_string()
+            attributes.append((attr_oid, value))
+    return Name(tuple(attributes))
 
 
 def _encode_oid(value: OID) -> bytes:

@@ -1,13 +1,20 @@
 """Tests for the content-addressed artifact cache (repro.io.artifacts)."""
 
+import os
 import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
+import repro.core.kernels as kernels_mod
 import repro.io.artifacts as artifacts_mod
 from repro.core.kernels import FeatureMatrix
 from repro.core.validation import validate_dataset
+from repro.datasets.synthetic import generate
+from repro.internet.population import WorldConfig
 from repro.io import (
     AnalysisEnvironment,
     ArtifactCache,
@@ -29,6 +36,11 @@ from repro.x509.truststore import TrustStore
 
 from ..oracles.kernels import naive_classify, naive_validation_results
 
+#: A second world, to decode before the tiny corpus.
+OTHER_WORLD = WorldConfig(
+    seed=11, n_devices=40, n_websites=10, n_generic_access=10,
+    n_enterprise=3, n_hosting=3, unused_roots=0,
+)
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory, tiny_synthetic):
@@ -327,6 +339,7 @@ class TestShardedBuilds:
         assert serial.fingerprints == sharded.fingerprints
         assert serial.rows == sharded.rows
         assert serial.values == sharded.values
+        assert pickle.dumps(serial.values) == pickle.dumps(sharded.values)
         for feature in serial.raw_ids:
             assert serial.raw_ids[feature] == sharded.raw_ids[feature]
             assert serial.linkable_ids[feature] == sharded.linkable_ids[feature]
@@ -335,6 +348,61 @@ class TestShardedBuilds:
         serial = fresh_dataset(tiny_synthetic)
         sharded = fresh_dataset(tiny_synthetic)
         assert serial.corpus_digest(workers=1) == sharded.corpus_digest(workers=4)
+
+
+class TestCanonicalValueTables:
+    """``matrix.values`` pickles as a function of its values alone."""
+
+    def test_unshared_tables_pickle_like_a_fresh_build(self, tiny_synthetic):
+        matrix = FeatureMatrix.from_certificates(
+            tiny_synthetic.scans.certificates
+        )
+        # Every value unpickled on its own: no object shared anywhere.
+        copies = {
+            feature: [pickle.loads(pickle.dumps(value)) for value in table]
+            for feature, table in matrix.values.items()
+        }
+        assert pickle.dumps(copies) != pickle.dumps(matrix.values)
+        kernels_mod._canonicalize(copies)
+        assert copies == matrix.values
+        assert pickle.dumps(copies) == pickle.dumps(matrix.values)
+
+    def test_kernels_file_does_not_depend_on_decode_history(
+        self, saved, tmp_path
+    ):
+        """The kernels file this process stores after decoding another
+        corpus (filling every decode memo) is the one a fresh
+        interpreter stores."""
+        other = tmp_path / "other.rpz"
+        save_dataset(generate(OTHER_WORLD, scan_stride=8).scans, other)
+        assert len(load_dataset(other).feature_matrix) > 0
+        dataset = load_dataset(saved[0])
+        dataset.index, dataset.intervals, dataset.feature_matrix
+        ArtifactCache(tmp_path / "here").store(dataset)
+        package_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import sys;"
+            "from repro.io import ArtifactCache, load_dataset;"
+            "dataset = load_dataset(sys.argv[1]);"
+            "dataset.index, dataset.intervals, dataset.feature_matrix;"
+            "ArtifactCache(sys.argv[2]).store(dataset)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(saved[0]),
+             str(tmp_path / "fresh")],
+            capture_output=True, text=True,
+            env={
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": os.pathsep.join(
+                    [package_root, os.environ.get("PYTHONPATH", "")]
+                ).rstrip(os.pathsep),
+            },
+        )
+        assert result.returncode == 0, result.stderr
+        digest = dataset.corpus_digest()
+        here = ArtifactCache(tmp_path / "here").path_for(digest, "kernels")
+        fresh = ArtifactCache(tmp_path / "fresh").path_for(digest, "kernels")
+        assert here.read_bytes() == fresh.read_bytes()
 
 
 class TestParityAndRemap:

@@ -13,7 +13,9 @@ benchmarks can time it as their baseline:
 * :mod:`tests.oracles.census` — the per-certificate §5 census (validity
   periods, lifetimes, key sharing, issuers, the self-signed share, and
   the fleet's census partials), which parses every certificate it
-  counts.
+  counts;
+* :mod:`tests.oracles.x509` — the certificate decoder before it became
+  offset-based and decoded each repeated block once.
 
 Nothing in ``src/`` imports these modules.
 """

@@ -296,6 +296,20 @@ class TestWarmBoot:
             assert 1 <= registry.counters["io.der_parse_total"] <= len(chain)
         booted.close()
 
+    def test_cold_boot_parses_each_certificate_once(
+        self, serve_paths, tmp_path
+    ):
+        # Chain validation and the feature matrix read the same parsed
+        # certificate, so an empty cache costs one parse per certificate.
+        registry = MetricsRegistry()
+        with obs_runtime.activated(Tracer(), registry):
+            booted = self._open(serve_paths, tmp_path / "cold").warm()
+            booted.respond("/census")
+            certificates = len(booted.study.dataset.certificates)
+        booted.close()
+        assert registry.counters["artifacts.miss"] == 3
+        assert registry.counters["io.der_parse_total"] == certificates
+
     @pytest.mark.parametrize("damage", list(OLD_BUNDLES))
     def test_old_bundle_is_rebuilt(self, serve_paths, engine, tmp_path, damage):
         cache_dir = tmp_path / "cache"

@@ -232,6 +232,33 @@ class TestCorruptContainers:
         assert capsys.readouterr().err.startswith(f"repro: {path}: ")
 
 
+    def test_damaged_certificate_record(self, saved_corpus, tmp_path, capsys):
+        # The container is intact, so it opens; the census parses every
+        # certificate and fails at the first access of the damaged one.
+        from repro.io.encoding import SegmentReader, unpack_fingerprints
+
+        corpus, environment = saved_corpus
+        reader = SegmentReader(corpus)
+        entry = reader.entry("certificates.der")
+        first = reader.array("cert_offsets")[0]
+        fingerprint = unpack_fingerprints(reader.raw("cert_order"))[0]
+        reader.close()
+        blob = bytearray(corpus.read_bytes())
+        # The first record's outer SEQUENCE tag, past its length prefix.
+        blob[entry["offset"] + first + 4] = 0x31
+        path = tmp_path / "damaged.rpz"
+        path.write_bytes(bytes(blob))
+        assert main(["census", "--corpus", str(path),
+                     "--environment", str(environment)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == [
+            f"repro: {path}: certificate {fingerprint.hex()[:16]}: "
+            "expected tag 0x30, got 0x31"
+        ], captured.err
+
+
 def _rewrite_zip(source, path, replace):
     """Copy the ``source`` zip to ``path`` with members replaced (None:
     dropped)."""

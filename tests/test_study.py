@@ -5,6 +5,8 @@ synthetic corpus — the full-fidelity quantitative comparison lives in the
 benchmark harness and EXPERIMENTS.md.
 """
 
+import collections
+
 from repro.core.features import Feature
 from repro.study import Study
 
@@ -129,6 +131,44 @@ class TestExecutionParity:
                       "pipeline", "tracking"):
             assert stage in tiny_study.stage_timings
             assert tiny_study.stage_timings[stage] >= 0.0
+
+
+class TestSelfSignatures:
+    def test_a_cold_study_checks_each_self_signature_once(
+        self, tiny_synthetic, tmp_path, monkeypatch
+    ):
+        # Chain validation and the feature matrix's self-signed column
+        # both ask; the verdict is kept with the certificate.
+        from repro.io import load_dataset, save_dataset
+        from repro.x509.keys import PublicKey
+
+        path = tmp_path / "tiny.rpz"
+        save_dataset(tiny_synthetic.scans, path)
+        dataset = load_dataset(path)
+        checks = collections.Counter()
+        verify = PublicKey.verify
+
+        def counting(key, message, signature):
+            checks[key, message, signature] += 1
+            return verify(key, message, signature)
+
+        monkeypatch.setattr(PublicKey, "verify", counting)
+        world = tiny_synthetic.world
+        study = Study(
+            dataset=dataset,
+            trust_store=world.trust_store,
+            as_of=world.routing.origin_as,
+            registry=world.registry,
+        )
+        study.validation()
+        study.kernels()
+        monkeypatch.undo()
+        own = [
+            (cert.public_key, cert.tbs_der(), cert.signature)
+            for cert in dataset.certificates.values()
+        ]
+        assert study.invalid and len(set(own)) == len(own)
+        assert [checks[check] for check in own] == [1] * len(own)
 
 
 class TestGroundTruthValidation:
